@@ -4,6 +4,7 @@ character and the separation map."""
 
 from __future__ import annotations
 
+import collections
 import weakref
 
 from .errors import K0IllDefined, NotSubtractionFree, QuiverError, \
@@ -19,7 +20,9 @@ class StringDiagram:
     """The order diagram of a string: positions 1..n+1 labelled by walk
     vertices, one oriented edge per step (forward points i -> i+1, inverse
     points i+1 -> i).  Submodules correspond to successor-closed position
-    subsets."""
+    subsets, which are summed by a two-state transfer product along the
+    positions: `out` and `inn` generate, in the label variables, the closed
+    subsets of positions 1..k that leave out or contain position k."""
 
     def __init__(self, c):
         self.labels = c.vertices
@@ -27,26 +30,23 @@ class StringDiagram:
         for i, step in enumerate(c.steps, start=1):
             self.edges.append((i, i + 1) if step.forward else (i + 1, i))
 
-    def closed_subsets(self):
-        n = len(self.labels)
-        for mask in range(1 << n):
-            if all(not (mask >> (p - 1)) & 1 or (mask >> (q - 1)) & 1
-                   for p, q in self.edges):
-                yield [i + 1 for i in range(n) if (mask >> i) & 1]
-
-    def dim_vector(self, positions):
-        dims = {}
-        for p in positions:
-            v = self.labels[p - 1]
-            dims[v] = dims.get(v, 0) + 1
-        return dims
-
     def submodule_counts(self):
         """Map from dimension vector (sorted item tuple) to submodule count."""
+        x = [LaurentPoly.var(v) for v in self.labels]
+        out, inn = LaurentPoly.one(), x[0]
+        for (p, q), x_next in zip(self.edges, x[1:]):
+            if p < q:
+                # a subset containing k must contain k+1
+                inn = (out + inn) * x_next
+            else:
+                # a subset containing k+1 must contain k
+                out, inn = out + inn, inn * x_next
         counts = {}
-        for subset in self.closed_subsets():
-            key = tuple(sorted(self.dim_vector(subset).items(), key=str))
-            counts[key] = counts.get(key, 0) + 1
+        # vertex ids with equal str (1 and "1") can split one monomial
+        # over two LaurentPoly keys, so the counts are summed per key
+        for mono, count in (out + inn).terms.items():
+            key = tuple(sorted(mono, key=str))
+            counts[key] = counts.get(key, 0) + count
         return counts
 
 
@@ -65,18 +65,23 @@ def total_gr_euler(c):
 
 
 def _simples_pairing(q):
-    """Matrices of the truncated and anti-symmetrised forms on simples."""
+    """Anti-symmetrised Euler form <S_i,S_j>_a on the simples of q."""
     cached = _pairing_cache.get(q)
     if cached is None:
         simples = {v: simple(q, v) for v in q.vertices}
-        truncated = {}
-        for i in q.vertices:
-            for j in q.vertices:
-                value, _anti = euler_forms(q, simples[i], simples[j])
-                truncated[i, j] = value
-        cached = truncated
+        cached = {(i, j): euler_forms(q, simples[i], simples[j])[1]
+                  for i in q.vertices for j in q.vertices}
         _pairing_cache[q] = cached
     return cached
+
+
+def _character(c, exponents):
+    """Sum of count * x^exponents(e) over the submodule dimension vectors e
+    of the string module of c."""
+    result = LaurentPoly.zero()
+    for key, count in sorted(StringDiagram(c).submodule_counts().items()):
+        result = result + LaurentPoly.monomial(count, exponents(dict(key)))
+    return result
 
 
 def cluster_character(q, c):
@@ -93,32 +98,20 @@ def cluster_character(q, c):
         raise UnfrozenViolation(
             f"the string {c} touches the frozen vertices "
             f"{sorted(m.support() & q.frozen, key=str)}")
-    truncated = _simples_pairing(q)
+    anti = _simples_pairing(q)
     pair_m = {}
     for i in q.vertices:
-        direct, anti = euler_forms(q, simple(q, i), m)
+        direct, anti_m = euler_forms(q, simple(q, i), m)
         # only the anti-symmetrised pairing is ever applied to a bare
         # dimension class, so that is the descent we must insist on
-        bilinear_anti = sum(
-            m.dims[j] * (truncated[i, j] - truncated[j, i])
-            for j in q.vertices)
-        if anti != bilinear_anti:
+        if anti_m != sum(m.dims[j] * anti[i, j] for j in q.vertices):
             raise K0IllDefined(
                 f"the anti-symmetrised pairing with the simple at {i!r} "
                 f"does not descend to the dimension vector of {c}")
         pair_m[i] = direct
-    diagram = StringDiagram(c)
-    result = LaurentPoly.zero()
-    for key, count in sorted(diagram.submodule_counts().items()):
-        e = dict(key)
-        exps = {}
-        for i in q.vertices:
-            pairing = sum(
-                e.get(j, 0) * (truncated[i, j] - truncated[j, i])
-                for j in q.vertices)
-            exps[i] = pairing - pair_m[i]
-        result = result + LaurentPoly.monomial(count, exps)
-    return result
+    return _character(c, lambda e: {
+        i: sum(d * anti[i, j] for j, d in e.items()) - pair_m[i]
+        for i in q.vertices})
 
 
 def pp_character(q, c):
@@ -133,21 +126,20 @@ def pp_character(q, c):
     ensure_string(q, c)
     if c.quiver is not q:
         c = c.on(q)
-    m = string_module(q, c)
-    diagram = StringDiagram(c)
-    result = LaurentPoly.zero()
-    for key, count in sorted(diagram.submodule_counts().items()):
-        e = dict(key)
+    dims = collections.Counter(c.vertices)
+
+    def exponents(e):
+        rest = {v: dims[v] - e.get(v, 0) for v in q.vertices}
         exps = {}
         for i in q.vertices:
             unit = {i: 1}
             exps[i] = -hereditary_euler(q, e, unit) - hereditary_euler(
-                q, unit, {v: m.dims[v] - e.get(v, 0) for v in q.vertices})
-            coeff_exp = m.dims[i] - e.get(i, 0)
-            if coeff_exp:
-                exps[f"{i}'"] = coeff_exp
-        result = result + LaurentPoly.monomial(count, exps)
-    return result
+                q, unit, rest)
+            if rest[i]:
+                exps[f"{i}'"] = rest[i]
+        return exps
+
+    return _character(c, exponents)
 
 
 def separate(f, w):

@@ -12,19 +12,8 @@ def zeros(rows, cols):
     return [[Fraction(0)] * cols for _ in range(rows)]
 
 
-def identity(n):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-            for i in range(n)]
-
-
 def from_rows(rows):
     return [[Fraction(x) for x in row] for row in rows]
-
-
-def shape(m, rows=None, cols=None):
-    r = len(m) if rows is None else rows
-    c = (len(m[0]) if m else 0) if cols is None else cols
-    return r, c
 
 
 def mat_mul(a, b, inner=None):
@@ -44,12 +33,6 @@ def mat_mul(a, b, inner=None):
 def mat_vec(a, v):
     return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0))
             for row in a]
-
-
-def transpose(m, cols=None):
-    r = len(m)
-    c = (len(m[0]) if m else 0) if cols is None else cols
-    return [[m[i][j] for i in range(r)] for j in range(c)]
 
 
 def rref(m, cols=None):

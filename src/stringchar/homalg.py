@@ -19,7 +19,8 @@ class PathBasis:
     subpath; these index a basis of the indecomposable projective."""
 
     def __init__(self, q, max_length=None):
-        self.quiver = q
+        # no reference to q itself: a basis is cached under the weak key q
+        self.targets = {name: arrow.target for name, arrow in q.arrows.items()}
         if max_length is None:
             max_length = 10 * max(len(q.arrows), 1)
         self.paths = {v: [()] for v in q.vertices}
@@ -47,7 +48,7 @@ class PathBasis:
             frontier = new_frontier
 
     def path_end(self, v, path):
-        return self.quiver.arrow(path[-1]).target if path else v
+        return self.targets[path[-1]] if path else v
 
 
 def path_basis(q):

@@ -28,9 +28,11 @@ class BoundIceQuiver:
 
     def __init__(self, vertices, arrows, frozen=(), relations=()):
         self.vertices = tuple(vertices)
-        if len(set(self.vertices)) != len(self.vertices):
-            raise QuiverError("duplicate vertex ids")
         self.vertex_set = frozenset(self.vertices)
+        if len(self.vertex_set) != len(self.vertices):
+            duplicate = next(v for k, v in enumerate(self.vertices)
+                             if v in self.vertices[:k])
+            raise QuiverError(f"duplicate vertex id {duplicate!r}")
         self.arrows = {}
         for entry in arrows:
             arrow = entry if isinstance(entry, Arrow) else Arrow(*entry)
@@ -625,6 +627,8 @@ def blow_up(q, c):
             pv = f"{arrow.source}^{arrow.name};{i}"
             pa = f"{arrow.name}@v{i}"
             if arrow.source == arrow.target:
+                # a loop also has an out-pendant of the same names
+                pv += "'"
                 pa += "'"
             vertices.append(pv)
             arrows.append((pa, pv, f"v{i}"))

@@ -69,6 +69,9 @@ def test_04_submodule_count_equals_matrix_count():
     assert walk_count(Walk.parse(a2, "alpha")) == 3
     k2 = load("kronecker2")
     assert walk_count(Walk.parse(k2, "al1^-1 al2")) == 5
+    # 2^41 position masks, summed by the transfer product in linear time
+    long = Walk.parse(k2, " ".join(["al1 al2^-1"] * 20))
+    assert total_gr_euler(long) == walk_count(long) == 433494437
 
 
 def _loewy_rhs(n, m):

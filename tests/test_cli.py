@@ -72,6 +72,15 @@ def test_normalise(capsys):
     assert json.loads(out) == {"1": 0, "2": 0, "3": 1}
 
 
+def test_normalise_string_next_to_a_loop(capsys, tmp_path):
+    path = tmp_path / "loop.quiver"
+    path.write_text("vertex 1\nvertex 2\narrow a 1 -> 1\narrow b 1 -> 2\n"
+                    "relation a a\n")
+    code, out, err = run(capsys, "normalise", str(path), "--string", "b")
+    assert code == 0, err
+    assert set(json.loads(out)) == {"1", "2"}
+
+
 def test_euler(capsys):
     code, out, _ = run(capsys, "euler", fixture("a2ice"),
                        "--lhs", "e(1)", "--rhs", "e(2)")

@@ -1,7 +1,9 @@
 """Hom and Ext computations, Euler forms, rigidity and normalising
 vectors over monomial bound quiver algebras."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -28,6 +30,15 @@ def test_path_basis_detects_infinite_algebras():
                             [("a", "1", "2"), ("b", "2", "1")])
     with pytest.raises(PathLimitExceeded):
         PathBasis(cyclic)
+
+
+def test_cached_path_basis_lets_its_quiver_go():
+    q = load("a2ice")
+    projective(q, "1")
+    gone = weakref.ref(q)
+    del q
+    gc.collect()
+    assert gone() is None
 
 
 def test_projectives():

@@ -49,6 +49,13 @@ def test_parse_errors_carry_line_numbers(text, fragment):
     assert fragment in str(info.value)
 
 
+def test_duplicate_vertex_id_is_named():
+    with pytest.raises(QuiverError, match="duplicate vertex id '2'"):
+        BoundIceQuiver(["1", "2", "3", "2"], [])
+    with pytest.raises(InputParseError, match="duplicate vertex id '1'"):
+        BoundIceQuiver.from_text("vertex 1\nvertex 1 frozen\n")
+
+
 def test_structural_invariants():
     with pytest.raises(QuiverError):
         BoundIceQuiver(["1", "1"], [])
@@ -297,6 +304,15 @@ def test_blow_up_three_vertex_cycle():
     assert phi.vertex_map == {"v1": "1", "v2": "2",
                               "3^gamma;1": "3", "3^beta;2": "3"}
     assert phi.vertex_preimages("3") == ["3^beta;2", "3^gamma;1"]
+
+
+def test_blow_up_of_a_loop_has_distinct_pendants():
+    # a loop at 1 with a zero square, and an arrow out of 1
+    q = BoundIceQuiver(["1", "2"], [("a", "1", "1"), ("b", "1", "2")],
+                       relations=[("a", "a")])
+    qtilde, phi, _mtilde = blow_up(q, Walk.parse(q, "b"))
+    assert qtilde.frozen == {"1^a;1", "1^a;1'"}
+    assert {phi.vertex_map[v] for v in qtilde.frozen} == {"1"}
 
 
 def test_blow_up_pushforward_round_trip():
