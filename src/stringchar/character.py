@@ -5,15 +5,12 @@ character and the separation map."""
 from __future__ import annotations
 
 import collections
-import weakref
 
 from .errors import K0IllDefined, NotSubtractionFree, QuiverError, \
     UnfrozenViolation
 from .homalg import euler_forms, hereditary_euler
 from .laurent import LaurentPoly
 from .quiver import ensure_string, simple, string_module
-
-_pairing_cache = weakref.WeakKeyDictionary()
 
 
 class StringDiagram:
@@ -64,17 +61,6 @@ def total_gr_euler(c):
     return sum(StringDiagram(c).submodule_counts().values())
 
 
-def _simples_pairing(q):
-    """Anti-symmetrised Euler form <S_i,S_j>_a on the simples of q."""
-    cached = _pairing_cache.get(q)
-    if cached is None:
-        simples = {v: simple(q, v) for v in q.vertices}
-        cached = {(i, j): euler_forms(q, simples[i], simples[j])[1]
-                  for i in q.vertices for j in q.vertices}
-        _pairing_cache[q] = cached
-    return cached
-
-
 def _character(c, exponents):
     """Sum of count * x^exponents(e) over the submodule dimension vectors e
     of the string module of c."""
@@ -98,7 +84,9 @@ def cluster_character(q, c):
         raise UnfrozenViolation(
             f"the string {c} touches the frozen vertices "
             f"{sorted(m.support() & q.frozen, key=str)}")
-    anti = _simples_pairing(q)
+    # Ext^1(S_i,S_j) counts the arrows i -> j over an admissible monomial
+    # ideal, so the anti-symmetrised form on simples is <S_i,S_j>_a = -b_ij
+    anti = {(i, j): -q.b_entry(i, j) for i in q.vertices for j in q.vertices}
     pair_m = {}
     for i in q.vertices:
         direct, anti_m = euler_forms(q, simple(q, i), m)

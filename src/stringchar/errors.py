@@ -65,5 +65,5 @@ class K0IllDefined(StringCharError):
 
 
 class PathLimitExceeded(StringCharError):
-    """Path enumeration exceeded its bound; the bound quiver algebra is
-    (or looks) infinite dimensional."""
+    """A path avoiding every relation is long enough to be pumped, so the
+    bound quiver algebra is infinite dimensional."""

@@ -18,21 +18,25 @@ class PathBasis:
     """For each vertex, the paths starting there that avoid every relation
     subpath; these index a basis of the indecomposable projective."""
 
-    def __init__(self, q, max_length=None):
+    def __init__(self, q):
         # no reference to q itself: a basis is cached under the weak key q
         self.targets = {name: arrow.target for name, arrow in q.arrows.items()}
-        if max_length is None:
-            max_length = 10 * max(len(q.arrows), 1)
+        # a relation-avoiding path is in one of fewer than `bound` states of
+        # the relation-matching automaton (its end vertex, or the longest
+        # proper relation prefix it ends in); a path of length `bound`
+        # repeats a state, so it can be pumped forever
+        bound = len(q.vertices) + sum(len(r) for r in q.relations)
         self.paths = {v: [()] for v in q.vertices}
         relations = set(q.relations)
         frontier = {v: [()] for v in q.vertices}
         length = 0
         while any(frontier.values()):
-            length += 1
-            if length > max_length:
+            if length == bound:
+                start = next(v for v, paths in frontier.items() if paths)
                 raise PathLimitExceeded(
-                    f"paths of length > {max_length} survive all relations; "
-                    "the algebra looks infinite dimensional")
+                    f"a path of length {bound} from vertex {start!r} avoids "
+                    "every relation, so the algebra is infinite dimensional")
+            length += 1
             new_frontier = {v: [] for v in q.vertices}
             for v, paths in frontier.items():
                 for path in paths:
@@ -60,25 +64,10 @@ def path_basis(q):
 
 
 def projective(q, v):
-    """The indecomposable projective at v as a representation."""
-    basis = path_basis(q)
-    by_vertex = {w: [] for w in q.vertices}
-    index = {}
-    for path in basis.paths[v]:
-        end = basis.path_end(v, path)
-        index[path] = len(by_vertex[end])
-        by_vertex[end].append(path)
-    dims = {w: len(paths) for w, paths in by_vertex.items()}
-    mats = {}
-    known = set(index)
-    for name, arrow in q.arrows.items():
-        m = exactmat.zeros(dims[arrow.target], dims[arrow.source])
-        for path in by_vertex[arrow.source]:
-            longer = path + (name,)
-            if longer in known:
-                m[index[longer]][index[path]] = Fraction(1)
-        mats[name] = m
-    return Representation(q, dims, mats)
+    """The indecomposable projective at v: the projective cover of the
+    simple at v."""
+    cover, _proj, _tops = projective_cover_data(q, simple(q, v))
+    return cover
 
 
 def direct_sum(q, *reps):
@@ -134,29 +123,21 @@ def _top_generators(q, m):
             mat = m.mats[arrow.name]
             for j in range(m.dims[arrow.source]):
                 radical_vectors.append([mat[i][j] for i in range(d)])
-        # extend a basis of rad(m)(v) to m(v) by greedily adding standard
-        # basis vectors that enlarge the rank
-        cols = [list(col) for col in radical_vectors]
-        current = exactmat.rank(cols, d) if cols else 0
-        chosen = []
+        # the standard basis vectors off the pivots of rad(m)(v) extend a
+        # basis of it to one of m(v)
+        _rows, pivots = exactmat.rref(radical_vectors, d)
         for k in range(d):
-            if current + len(chosen) == d:
-                break
-            candidate = [Fraction(1) if i == k else Fraction(0)
-                         for i in range(d)]
-            if exactmat.rank(cols + [c for c in chosen] + [candidate], d) > \
-                    current + len(chosen):
-                chosen.append(candidate)
-        for vec in chosen:
-            generators.append((v, vec))
+            if k not in pivots:
+                generators.append(
+                    (v, [Fraction(int(i == k)) for i in range(d)]))
     return generators
 
 
 def projective_cover_data(q, m):
     """A projective surjection p: P -> m built from top(m).
 
-    Returns (P as a representation, per-vertex matrices of p, per-vertex
-    basis labels of P as (generator index, path) pairs).
+    Returns (P as a representation, per-vertex matrices of p, the vertex of
+    each generator of P, one per top basis element of m).
     """
     basis = path_basis(q)
     generators = _top_generators(q, m)
@@ -187,12 +168,11 @@ def projective_cover_data(q, m):
             for i, x in enumerate(vec):
                 mat[i][j] = x
         proj[v] = mat
-    return cover, proj
+    return cover, proj, [v for v, _vec in generators]
 
 
-def syzygy(q, m):
-    """The kernel of a projective cover of m, as a representation."""
-    cover, proj = projective_cover_data(q, m)
+def _kernel(q, cover, proj):
+    """The kernel of p: P -> m, given as in projective_cover_data."""
     kernels = {v: exactmat.nullspace(proj[v], cover.dims[v])
                for v in q.vertices}
     dims = {v: len(kernels[v]) for v in q.vertices}
@@ -211,20 +191,32 @@ def syzygy(q, m):
     return Representation(q, dims, mats, check_relations=False)
 
 
+def syzygy(q, m):
+    """The kernel of a projective cover of m, as a representation."""
+    cover, proj, _tops = projective_cover_data(q, m)
+    return _kernel(q, cover, proj)
+
+
 def ext1_dim(q, m, n):
-    """dim Ext^1(m, n) from the Hom exact sequence of a projective cover."""
-    if m.total_dim() == 0:
-        return 0
-    cover, _proj = projective_cover_data(q, m)
-    omega = syzygy(q, m)
-    return hom_dim(q, omega, n) - hom_dim(q, cover, n) + hom_dim(q, m, n)
+    """dim Ext^1(m, n) from the Hom exact sequence of one projective
+    presentation 0 -> syzygy -> P -> m -> 0.  Hom(P, n) needs no linear
+    system: P is a sum of indecomposable projectives P_v, and
+    dim Hom(P_v, n) = dim n(v) (Yoneda)."""
+    cover, proj, tops = projective_cover_data(q, m)
+    omega = _kernel(q, cover, proj)
+    return (hom_dim(q, omega, n) - sum(n.dims[v] for v in tops)
+            + hom_dim(q, m, n))
+
+
+def euler_form(q, m, n):
+    """The truncated Euler form <m,n> = dim Hom(m,n) - dim Ext^1(m,n)."""
+    return hom_dim(q, m, n) - ext1_dim(q, m, n)
 
 
 def euler_forms(q, m, n):
     """(truncated form <m,n>, anti-symmetrised form <m,n>_a)."""
-    forward = hom_dim(q, m, n) - ext1_dim(q, m, n)
-    backward = hom_dim(q, n, m) - ext1_dim(q, n, m)
-    return forward, forward - backward
+    forward = euler_form(q, m, n)
+    return forward, forward - euler_form(q, n, m)
 
 
 def hereditary_euler(q, d, e):
@@ -253,7 +245,7 @@ def normalisation_vector(q, c):
     qtilde, phi, mtilde = blow_up(q, c)
     result = {}
     for i in phi.target.vertices:
-        value, _anti = euler_forms(q, simple(q, i), m)
+        value = euler_form(q, simple(q, i), m)
         for j in phi.vertex_preimages(i):
             value -= hereditary_euler(qtilde, {j: 1}, mtilde.dims)
         result[i] = value

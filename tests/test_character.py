@@ -3,11 +3,11 @@ principal-coefficient characters and separation."""
 
 import pytest
 
-from stringchar import LaurentPoly, NotSubtractionFree, \
-    QuiverError, StringDiagram, UnfrozenViolation, Walk, cluster_character, \
-    enumerate_strings, gr_euler, pp_character, pp_variable_map, \
-    principal_extension, separate, total_gr_euler, w_monomial, \
-    walk_laurent
+from stringchar import BoundIceQuiver, K0IllDefined, LaurentPoly, \
+    NotSubtractionFree, PathLimitExceeded, QuiverError, StringDiagram, \
+    UnfrozenViolation, Walk, cluster_character, enumerate_strings, gr_euler, \
+    normalisation_vector, pp_character, pp_variable_map, \
+    principal_extension, separate, total_gr_euler, w_monomial, walk_laurent
 
 from conftest import FIXTURES, load
 
@@ -107,7 +107,6 @@ def test_cluster_character_rejects_frozen_support():
 
 
 def test_cluster_character_rejects_two_cycles():
-    from stringchar import BoundIceQuiver
     q = BoundIceQuiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")],
                        relations=[("a", "b"), ("b", "a")])
     with pytest.raises(QuiverError):
@@ -115,7 +114,6 @@ def test_cluster_character_rejects_two_cycles():
 
 
 def test_main_identity_on_small_strings():
-    from stringchar import normalisation_vector
     for name in ("a2ice", "dcyclic3"):
         q = load(name)
         for c in enumerate_strings(q, 4, unfrozen_only=True):
@@ -203,8 +201,27 @@ def test_separation_recovers_the_coefficient_character():
 # -- guards -----------------------------------------------------------------------------
 
 def test_infinite_dimensional_algebras_are_rejected():
-    from stringchar import BoundIceQuiver, PathLimitExceeded
     q = BoundIceQuiver(["1", "2", "3"],
                        [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1")])
     with pytest.raises(PathLimitExceeded):
         cluster_character(q, Walk.parse(q, "e(1)"))
+
+
+def test_long_relation_on_a_cycle_is_finite():
+    relation = [("a", "b", "c")[k % 3] for k in range(40)]
+    q = BoundIceQuiver(["1", "2", "3"],
+                       [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1")],
+                       relations=[relation])
+    c = Walk.parse(q, "a")
+    vector = normalisation_vector(q, c)
+    assert cluster_character(q, c) * LaurentPoly.monomial(1, vector) == \
+        walk_laurent(q, c)
+
+
+def test_k0_ill_defined_names_the_vertex():
+    # a b = 0 makes the module of the string a projective, and its pairing
+    # with S_3 does not descend to the dimension vector S_1 + S_2
+    q = BoundIceQuiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")],
+                       relations=[("a", "b")])
+    with pytest.raises(K0IllDefined, match="simple at '3'"):
+        cluster_character(q, Walk.parse(q, "a"))

@@ -132,6 +132,15 @@ def test_domain_error_exit_code(capsys):
     assert "UnfrozenViolation" in err
 
 
+def test_k0_ill_defined_exit_code(capsys, tmp_path):
+    path = tmp_path / "a3rel.quiver"
+    path.write_text("vertex 1\nvertex 2\nvertex 3\narrow a 1 -> 2\n"
+                    "arrow b 2 -> 3\nrelation a b\n")
+    code, _, err = run(capsys, "character", str(path), "--string", "a")
+    assert code == 1
+    assert "K0IllDefined" in err and "'3'" in err
+
+
 def test_missing_file_is_a_hard_error():
     with pytest.raises(OSError):
         main(["lpoly", "/no/such/file.quiver", "--walk", "e(1)"])

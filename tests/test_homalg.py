@@ -12,7 +12,12 @@ from stringchar import BoundIceQuiver, PathBasis, PathLimitExceeded, \
     hereditary_euler, hom_dim, is_rigid, normalisation_vector, \
     numerator_normalisation, projective, simple, string_module, syzygy
 
-from conftest import load
+from conftest import FIXTURES, load
+
+
+def fixture_quivers():
+    return [BoundIceQuiver.from_file(path)
+            for path in sorted(FIXTURES.glob("*.quiver"))]
 
 
 # -- path bases and projectives ---------------------------------------------
@@ -28,8 +33,21 @@ def test_path_basis_respects_relations():
 def test_path_basis_detects_infinite_algebras():
     cyclic = BoundIceQuiver(["1", "2"],
                             [("a", "1", "2"), ("b", "2", "1")])
-    with pytest.raises(PathLimitExceeded):
+    with pytest.raises(PathLimitExceeded,
+                       match="from vertex '1' .* is infinite dimensional"):
         PathBasis(cyclic)
+
+
+def test_path_basis_of_a_long_relation_on_a_cycle():
+    # finite, with paths longer than any fixed multiple of the arrow count:
+    # the longest surviving path has length 41, below the exact bound 43
+    relation = [("a", "b", "c")[k % 3] for k in range(40)]
+    q = BoundIceQuiver(["1", "2", "3"],
+                       [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1")],
+                       relations=[relation])
+    basis = PathBasis(q)
+    assert max(len(p) for paths in basis.paths.values() for p in paths) == 41
+    assert sum(len(paths) for paths in basis.paths.values()) == 123
 
 
 def test_cached_path_basis_lets_its_quiver_go():
@@ -50,6 +68,16 @@ def test_projectives():
     assert p1.satisfies_relations()
     hereditary = load("a3")
     assert projective(hereditary, "1").dims == {"1": 1, "2": 1, "3": 1}
+
+
+def test_hom_from_a_projective_is_the_dimension_at_its_vertex():
+    # the Yoneda step ext1_dim takes in place of a linear system
+    for q in fixture_quivers():
+        projectives = {v: projective(q, v) for v in q.vertices}
+        for c in enumerate_strings(q, 3):
+            m = string_module(q, c)
+            for v in q.vertices:
+                assert hom_dim(q, projectives[v], m) == m.dims[v], (c, v)
 
 
 # -- hom and ext ---------------------------------------------------------------
@@ -98,6 +126,17 @@ def test_syzygy():
     assert syzygy(q, projective(q, "1")).total_dim() == 0
 
 
+def test_euler_forms_on_simples_are_read_off_the_arrows():
+    # the closed form cluster_character takes for <S_i,S_j>_a
+    for q in fixture_quivers():
+        simples = {v: simple(q, v) for v in q.vertices}
+        for i in q.vertices:
+            for j in q.vertices:
+                arrows = sum(1 for a in q.arrows_from(i) if a.target == j)
+                assert euler_forms(q, simples[i], simples[j]) == \
+                    (int(i == j) - arrows, -q.b_entry(i, j)), (i, j)
+
+
 def test_euler_form_matches_hereditary_on_acyclic_quivers():
     q = load("a4dec").unfrozen_part()
     rng = random.Random(314)
@@ -122,21 +161,27 @@ def test_hereditary_euler_rejects_bad_quivers():
 
 
 def test_antisymmetrised_form_descends_but_truncated_does_not():
+    # every string of a2ice; on the larger quivers with relations, the
+    # strings with unfrozen support, whose characters take this descent
+    for name, unfrozen_only in (("a2ice", False), ("dcyclic3", True),
+                                ("dcyclic4", True), ("dcyclic5", True)):
+        q = load(name)
+        simples = {v: simple(q, v) for v in q.vertices}
+        t = {(i, j): euler_forms(q, simples[i], simples[j])[0]
+             for i in q.vertices for j in q.vertices}
+        for c in enumerate_strings(q, 6, unfrozen_only=unfrozen_only):
+            m = string_module(q, c)
+            for i in q.vertices:
+                _, anti = euler_forms(q, simples[i], m)
+                assert anti == sum(m.dims[j] * (t[i, j] - t[j, i])
+                                   for j in q.vertices), (name, str(c), i)
+    # the truncated form itself is not additive in dimension vectors: on
+    # a2ice, against S_3 it gives 0 on P_1 but -1 on S_1 + S_2
     q = load("a2ice")
-    simples = {v: simple(q, v) for v in q.vertices}
-    t = {(i, j): euler_forms(q, simples[i], simples[j])[0]
-         for i in q.vertices for j in q.vertices}
-    for c in enumerate_strings(q, 6):
-        m = string_module(q, c)
-        for i in q.vertices:
-            _, anti = euler_forms(q, simples[i], m)
-            assert anti == sum(m.dims[j] * (t[i, j] - t[j, i])
-                               for j in q.vertices)
-    # the truncated form itself is not additive in dimension vectors here:
-    # against S_3 it gives 0 on P_1 but -1 on S_1 + S_2
-    p1 = projective(q, "1")
-    direct, _ = euler_forms(q, simples["3"], p1)
-    additive = sum(p1.dims[j] * t["3", j] for j in q.vertices)
+    s3, p1 = simple(q, "3"), projective(q, "1")
+    direct, _ = euler_forms(q, s3, p1)
+    additive = sum(p1.dims[j] * euler_forms(q, s3, simple(q, j))[0]
+                   for j in q.vertices)
     assert direct == 0
     assert additive == -1
 
