@@ -56,7 +56,6 @@ from .homalg import (
     is_rigid,
     normalisation_vector,
     projective,
-    syzygy,
 )
 from .character import (
     StringDiagram,

@@ -38,13 +38,8 @@ class StringDiagram:
             else:
                 # a subset containing k+1 must contain k
                 out, inn = out + inn, inn * x_next
-        counts = {}
-        # vertex ids with equal str (1 and "1") can split one monomial
-        # over two LaurentPoly keys, so the counts are summed per key
-        for mono, count in (out + inn).terms.items():
-            key = tuple(sorted(mono, key=str))
-            counts[key] = counts.get(key, 0) + count
-        return counts
+        return {tuple(sorted(mono, key=str)): count
+                for mono, count in (out + inn).terms.items()}
 
 
 def gr_euler(c, e):

@@ -65,40 +65,3 @@ def rref(m, cols=None):
 
 def rank(m, cols=None):
     return len(rref(m, cols)[1])
-
-
-def nullspace(m, cols):
-    """Basis of {v : m v = 0} as a list of column vectors (length cols)."""
-    rows, pivots = rref(m, cols)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -rows[i][f]
-        basis.append(v)
-    return basis
-
-
-def column_space_coords(basis_cols, vectors, dim):
-    """Express each vector of `vectors` in the basis `basis_cols`.
-
-    basis_cols: list of independent length-dim column vectors.
-    vectors: list of length-dim column vectors lying in their span.
-    Returns the coordinate matrix X (len(basis_cols) x len(vectors)) with
-    basis * X = vectors.  Raises ValueError if some vector is outside the
-    span.
-    """
-    k = len(basis_cols)
-    n = len(vectors)
-    aug = [[basis_cols[j][i] for j in range(k)] + [vec[i] for vec in vectors]
-           for i in range(dim)]
-    rows, pivots = rref(aug, k + n)
-    if any(p >= k for p in pivots):
-        raise ValueError("vector outside the span of the given basis")
-    out = zeros(k, n)
-    for i, p in enumerate(pivots):
-        for j in range(n):
-            out[p][j] = rows[i][k + j]
-    return out

@@ -1,6 +1,6 @@
 """Homological algebra over monomial bound quiver algebras: projectives via
-path bases, Hom and Ext^1 by exact elimination, Euler forms, rigidity and
-the normalising vector of a string module."""
+path bases, Hom by exact elimination, Ext^1 from the relation complex, Euler
+forms, rigidity and the normalising vector of a string module."""
 
 from __future__ import annotations
 
@@ -66,7 +66,7 @@ def path_basis(q):
 def projective(q, v):
     """The indecomposable projective at v: the projective cover of the
     simple at v."""
-    cover, _proj, _tops = projective_cover_data(q, simple(q, v))
+    cover, _proj = projective_cover_data(q, simple(q, v))
     return cover
 
 
@@ -136,8 +136,7 @@ def _top_generators(q, m):
 def projective_cover_data(q, m):
     """A projective surjection p: P -> m built from top(m).
 
-    Returns (P as a representation, per-vertex matrices of p, the vertex of
-    each generator of P, one per top basis element of m).
+    Returns (P as a representation, per-vertex matrices of p).
     """
     basis = path_basis(q)
     generators = _top_generators(q, m)
@@ -168,44 +167,61 @@ def projective_cover_data(q, m):
             for i, x in enumerate(vec):
                 mat[i][j] = x
         proj[v] = mat
-    return cover, proj, [v for v, _vec in generators]
-
-
-def _kernel(q, cover, proj):
-    """The kernel of p: P -> m, given as in projective_cover_data."""
-    kernels = {v: exactmat.nullspace(proj[v], cover.dims[v])
-               for v in q.vertices}
-    dims = {v: len(kernels[v]) for v in q.vertices}
-    mats = {}
-    for name, arrow in q.arrows.items():
-        s, t = arrow.source, arrow.target
-        images = [exactmat.mat_vec(cover.mats[name], vec)
-                  for vec in kernels[s]]
-        if kernels[t]:
-            mats[name] = exactmat.column_space_coords(
-                kernels[t], images, cover.dims[t])
-        else:
-            if any(x != 0 for vec in images for x in vec):
-                raise QuiverError("syzygy is not arrow-stable")
-            mats[name] = exactmat.zeros(0, dims[s])
-    return Representation(q, dims, mats, check_relations=False)
-
-
-def syzygy(q, m):
-    """The kernel of a projective cover of m, as a representation."""
-    cover, proj, _tops = projective_cover_data(q, m)
-    return _kernel(q, cover, proj)
+    return cover, proj
 
 
 def ext1_dim(q, m, n):
-    """dim Ext^1(m, n) from the Hom exact sequence of one projective
-    presentation 0 -> syzygy -> P -> m -> 0.  Hom(P, n) needs no linear
-    system: P is a sum of indecomposable projectives P_v, and
-    dim Hom(P_v, n) = dim n(v) (Yoneda)."""
-    cover, proj, tops = projective_cover_data(q, m)
-    omega = _kernel(q, cover, proj)
-    return (hom_dim(q, omega, n) - sum(n.dims[v] for v in tops)
-            + hom_dim(q, m, n))
+    """dim Ext^1(m, n) from the relation complex.
+
+    An extension of m by n is a choice of f_a: m(s(a)) -> n(t(a)) per arrow
+    a, allowed when every relation still composes to zero on the direct sum
+    of n and m.  On the relation a_1 ... a_k that composite is the linear map
+    d1(f) = sum_l n(a_{l+1} ... a_k) f_{a_l} m(a_1 ... a_{l-1}).  The split
+    extensions are the f_a = g_t m(a) - n(a) g_s for vertex maps g, a space
+    of dimension sum_v dim m(v) dim n(v) - dim Hom(m, n).
+    """
+    # only finite-dimensional algebras are in scope
+    path_basis(q)
+    offsets = {}
+    total = 0
+    for name, arrow in q.arrows.items():
+        offsets[name] = total
+        total += n.dims[arrow.target] * m.dims[arrow.source]
+    rows = []
+    for rel in q.relations:
+        source, target = q.arrows[rel[0]].source, q.arrows[rel[-1]].target
+        block = [[[Fraction(0)] * total for _j in range(m.dims[source])]
+                 for _i in range(n.dims[target])]
+        # prefixes[l] = m(a_1 ... a_l) by columns, one per j < dim m(source)
+        prefixes = [[[Fraction(int(i == j)) for i in range(m.dims[source])]
+                     for j in range(m.dims[source])]]
+        for name in rel[:-1]:
+            prefixes.append([exactmat.mat_vec(m.mats[name], col)
+                             for col in prefixes[-1]])
+        # suffix = n(a_{l+2} ... a_k) while rel[l] = a_{l+1} is paired, by
+        # rows, one per i < dim n(target)
+        suffix = [[Fraction(int(i == j)) for j in range(n.dims[target])]
+                  for i in range(n.dims[target])]
+        for l in reversed(range(len(rel))):
+            name = rel[l]
+            arrow = q.arrows[name]
+            width = m.dims[arrow.source]
+            for i, left in enumerate(suffix):
+                for j, right in enumerate(prefixes[l]):
+                    row = block[i][j]
+                    for p, x in enumerate(left):
+                        if x:
+                            base = offsets[name] + p * width
+                            for k, y in enumerate(right):
+                                row[base + k] += x * y
+            na = n.mats[name]
+            suffix = [[sum((left[p] * na[p][k] for p in range(len(left))),
+                           Fraction(0)) for k in range(n.dims[arrow.source])]
+                      for left in suffix]
+        rows.extend(row for line in block for row in line)
+    cocycles = total - exactmat.rank(rows, total)
+    split = sum(m.dims[v] * n.dims[v] for v in q.vertices) - hom_dim(q, m, n)
+    return cocycles - split
 
 
 def euler_form(q, m, n):

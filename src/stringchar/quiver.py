@@ -33,6 +33,13 @@ class BoundIceQuiver:
             duplicate = next(v for k, v in enumerate(self.vertices)
                              if v in self.vertices[:k])
             raise QuiverError(f"duplicate vertex id {duplicate!r}")
+        # every output (x[...], JSON keys) names a vertex by its text
+        by_text = {}
+        for v in self.vertices:
+            other = by_text.setdefault(str(v), v)
+            if other != v:
+                raise QuiverError(f"vertex ids {other!r} and {v!r} share "
+                                  f"the text {str(v)!r}")
         self.arrows = {}
         for entry in arrows:
             arrow = entry if isinstance(entry, Arrow) else Arrow(*entry)

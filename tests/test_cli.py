@@ -125,11 +125,18 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
-def test_domain_error_exit_code(capsys):
+def test_domain_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "character", fixture("a2ice"),
                        "--string", "beta")
     assert code == 1
     assert "UnfrozenViolation" in err
+    # the relation-free 3-cycle has an infinite-dimensional path algebra
+    path = tmp_path / "cycle3.quiver"
+    path.write_text("vertex 1\nvertex 2\nvertex 3\narrow a 1 -> 2\n"
+                    "arrow b 2 -> 3\narrow c 3 -> 1\n")
+    code, _, err = run(capsys, "euler", str(path), "--lhs", "a", "--rhs", "b")
+    assert code == 1
+    assert "PathLimitExceeded" in err
 
 
 def test_k0_ill_defined_exit_code(capsys, tmp_path):
@@ -139,6 +146,23 @@ def test_k0_ill_defined_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "character", str(path), "--string", "a")
     assert code == 1
     assert "K0IllDefined" in err and "'3'" in err
+
+
+def test_verify_builds_no_projective_cover(capsys, monkeypatch):
+    # the character and the normalising vector pair with the simples through
+    # the relation complex alone
+    sweeps = [(fixture("dcyclic3"), "4"), (fixture("diamond5"), "3")]
+    expected = [run(capsys, "verify", path, "--max-length", length)
+                for path, length in sweeps]
+
+    def no_cover(q, m):
+        raise AssertionError("projective cover built on the pairing path")
+
+    monkeypatch.setattr("stringchar.homalg.projective_cover_data", no_cover)
+    for (path, length), (code, out, _err) in zip(sweeps, expected):
+        assert code == 0
+        assert run(capsys, "verify", path, "--max-length", length) == \
+            (code, out, "")
 
 
 def test_missing_file_is_a_hard_error():

@@ -54,6 +54,9 @@ def test_duplicate_vertex_id_is_named():
         BoundIceQuiver(["1", "2", "3", "2"], [])
     with pytest.raises(InputParseError, match="duplicate vertex id '1'"):
         BoundIceQuiver.from_text("vertex 1\nvertex 1 frozen\n")
+    # outputs name vertices by text, so 1 and "1" would print alike
+    with pytest.raises(QuiverError, match="1 and '1' share the text '1'"):
+        BoundIceQuiver([1, "1"], [("a", 1, "1")])
 
 
 def test_structural_invariants():
