@@ -28,7 +28,8 @@ class StringDiagram:
             self.edges.append((i, i + 1) if step.forward else (i + 1, i))
 
     def submodule_counts(self):
-        """Map from dimension vector (sorted item tuple) to submodule count."""
+        """The transfer product's terms: submodule count by dimension vector,
+        keyed as a monomial ((vertex, dim) pairs sorted by vertex)."""
         x = [LaurentPoly.var(v) for v in self.labels]
         out, inn = LaurentPoly.one(), x[0]
         for (p, q), x_next in zip(self.edges, x[1:]):
@@ -38,16 +39,13 @@ class StringDiagram:
             else:
                 # a subset containing k+1 must contain k
                 out, inn = out + inn, inn * x_next
-        return {tuple(sorted(mono, key=str)): count
-                for mono, count in (out + inn).terms.items()}
+        return (out + inn).terms
 
 
 def gr_euler(c, e):
     """Number of submodules of the string module of c with dim vector e."""
     ensure_string(c.quiver, c)
-    diagram = StringDiagram(c)
-    target = tuple(sorted(((v, d) for v, d in e.items() if d), key=str))
-    return diagram.submodule_counts().get(target, 0)
+    return LaurentPoly(StringDiagram(c).submodule_counts()).coefficient(e)
 
 
 def total_gr_euler(c):
@@ -60,7 +58,7 @@ def _character(c, exponents):
     """Sum of count * x^exponents(e) over the submodule dimension vectors e
     of the string module of c."""
     result = LaurentPoly.zero()
-    for key, count in sorted(StringDiagram(c).submodule_counts().items()):
+    for key, count in StringDiagram(c).submodule_counts().items():
         result = result + LaurentPoly.monomial(count, exponents(dict(key)))
     return result
 
@@ -78,7 +76,7 @@ def cluster_character(q, c):
     if m.support() & q.frozen:
         raise UnfrozenViolation(
             f"the string {c} touches the frozen vertices "
-            f"{sorted(m.support() & q.frozen, key=str)}")
+            f"{sorted(m.support() & q.frozen)}")
     # Ext^1(S_i,S_j) counts the arrows i -> j over an admissible monomial
     # ideal, so the anti-symmetrised form on simples is <S_i,S_j>_a = -b_ij
     anti = {(i, j): -q.b_entry(i, j) for i in q.vertices for j in q.vertices}

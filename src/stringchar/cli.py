@@ -104,8 +104,7 @@ def _run(args):
     elif args.command == "normalise":
         c = Walk.parse(q, args.string)
         vector = homalg.normalisation_vector(q, c)
-        print(json.dumps({str(v): n for v, n in sorted(
-            vector.items(), key=lambda item: str(item[0]))}))
+        print(json.dumps(dict(sorted(vector.items()))))
     elif args.command == "euler":
         from .quiver import string_module
         lhs = string_module(q, Walk.parse(q, args.lhs))

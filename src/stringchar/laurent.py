@@ -1,9 +1,9 @@
 """Exact multivariate Laurent polynomials with integer coefficients.
 
-Variables are indexed by arbitrary ids (vertex ids in practice).  A
-polynomial is a sparse map from monomials to nonzero big integers; a
-monomial is stored as a tuple of (variable, nonzero exponent) pairs sorted
-by str(variable), so equal monomials always have equal keys.
+Variables are strings (vertex ids in practice).  A polynomial is a sparse
+map from monomials to nonzero big integers; a monomial is stored as a tuple
+of (variable, nonzero exponent) pairs sorted by variable, so equal monomials
+always have equal keys, and output names a variable by the string itself.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from .errors import NotDivisible, NotInvertible, NotSubtractionFree
 
 def _mono_key(exponents):
     """Canonical monomial key from a {var: exp} mapping."""
-    return tuple(sorted(((v, e) for v, e in exponents.items() if e != 0),
-                        key=lambda item: str(item[0])))
+    return tuple(sorted((v, e) for v, e in exponents.items() if e != 0))
 
 
 def _mono_mul(m1, m2):
@@ -48,12 +47,13 @@ class LaurentPoly:
 
     @classmethod
     def var(cls, v, power=1):
-        if power == 0:
-            return cls.one()
-        return cls({((v, power),): 1})
+        return cls.monomial(1, {v: power})
 
     @classmethod
     def monomial(cls, coeff, exponents):
+        for v in exponents:
+            if not isinstance(v, str):
+                raise TypeError(f"Laurent variable {v!r} is not a string")
         if coeff == 0:
             return cls()
         return cls({_mono_key(exponents): int(coeff)})
@@ -159,8 +159,9 @@ class LaurentPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -188,34 +189,38 @@ class LaurentPoly:
         shift_b = other._min_exponents()
         a = self * LaurentPoly.monomial(1, {v: -e for v, e in shift_a.items()})
         b = other * LaurentPoly.monomial(1, {v: -e for v, e in shift_b.items()})
-        varlist = sorted(a.variables() | b.variables(), key=str)
+        varlist = sorted(a.variables() | b.variables())
 
         def key(mono):
             exps = dict(mono)
             return tuple(exps.get(v, 0) for v in varlist)
 
         lead_b = max(b.terms, key=key)
-        lead_b_exps = dict(lead_b)
+        inv_lead_b = tuple((v, -e) for v, e in lead_b)
         lead_b_coeff = b.terms[lead_b]
-        quotient = LaurentPoly.zero()
-        remainder = a
+        quotient = {}
+        remainder = dict(a.terms)
         while remainder:
-            lead_r = max(remainder.terms, key=key)
-            lead_r_exps = dict(lead_r)
-            coeff_r = remainder.terms[lead_r]
+            lead_r = max(remainder, key=key)
+            coeff_r = remainder[lead_r]
             q_coeff, rem = divmod(coeff_r, lead_b_coeff)
             if rem != 0:
                 raise NotDivisible(f"{self} is not divisible by {other}")
-            q_exps = {v: lead_r_exps.get(v, 0) - lead_b_exps.get(v, 0)
-                      for v in set(lead_r_exps) | set(lead_b_exps)}
-            if any(e < 0 for e in q_exps.values()):
+            q_mono = _mono_mul(lead_r, inv_lead_b)
+            if any(e < 0 for _, e in q_mono):
                 raise NotDivisible(f"{self} is not divisible by {other}")
-            t = LaurentPoly.monomial(q_coeff, q_exps)
-            quotient = quotient + t
-            remainder = remainder - t * b
+            # the remainder's lead falls strictly: each quotient term is new
+            quotient[q_mono] = q_coeff
+            for b_mono, b_coeff in b.terms.items():
+                mono = _mono_mul(q_mono, b_mono)
+                c = remainder.get(mono, 0) - q_coeff * b_coeff
+                if c:
+                    remainder[mono] = c
+                else:
+                    del remainder[mono]
         shift = {v: shift_a.get(v, 0) - shift_b.get(v, 0)
                  for v in set(shift_a) | set(shift_b)}
-        return quotient * LaurentPoly.monomial(1, shift)
+        return LaurentPoly(quotient) * LaurentPoly.monomial(1, shift)
 
     def _min_exponents(self):
         """Componentwise minimum of the exponent vectors over all terms."""
@@ -305,7 +310,7 @@ class LaurentPoly:
     # -- canonical output ----------------------------------------------------
 
     def _sorted_terms(self):
-        varlist = sorted(self.variables(), key=str)
+        varlist = sorted(self.variables())
 
         def key(item):
             exps = dict(item[0])
@@ -338,7 +343,7 @@ class LaurentPoly:
         return f"LaurentPoly({self.text()!r})"
 
     def to_json_obj(self):
-        return [{"coeff": coeff, "exponents": {str(v): e for v, e in mono}}
+        return [{"coeff": coeff, "exponents": dict(mono)}
                 for mono, coeff in self._sorted_terms()]
 
     def to_json(self):

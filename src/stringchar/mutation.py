@@ -25,10 +25,10 @@ class Seed:
                         "skew-symmetric")
 
     def key(self):
-        texts = tuple(sorted(self.cluster[j].text() for j in self.unfrozen))
+        # the cluster variables of a seed are distinct
         matrix = tuple(self.b[i, j] for i in self.vertices
                        for j in self.unfrozen)
-        return texts, matrix
+        return frozenset(self.cluster.values()), matrix
 
     def __eq__(self, other):
         if not isinstance(other, Seed):
@@ -69,7 +69,7 @@ def mutate(seed, k):
     minus = LaurentPoly.one()
     for i in seed.vertices:
         e = seed.b[i, k]
-        value = seed.cluster.get(i, LaurentPoly.var(i))
+        value = seed.cluster[i] if i in seed.cluster else LaurentPoly.var(i)
         if e > 0:
             plus = plus * value ** e
         elif e < 0:

@@ -28,21 +28,20 @@ class BoundIceQuiver:
 
     def __init__(self, vertices, arrows, frozen=(), relations=()):
         self.vertices = tuple(vertices)
+        # every output (x[...], JSON keys) names a vertex by its text
+        for v in self.vertices:
+            if not isinstance(v, str):
+                raise QuiverError(f"vertex id {v!r} is not a string")
         self.vertex_set = frozenset(self.vertices)
         if len(self.vertex_set) != len(self.vertices):
             duplicate = next(v for k, v in enumerate(self.vertices)
                              if v in self.vertices[:k])
             raise QuiverError(f"duplicate vertex id {duplicate!r}")
-        # every output (x[...], JSON keys) names a vertex by its text
-        by_text = {}
-        for v in self.vertices:
-            other = by_text.setdefault(str(v), v)
-            if other != v:
-                raise QuiverError(f"vertex ids {other!r} and {v!r} share "
-                                  f"the text {str(v)!r}")
         self.arrows = {}
         for entry in arrows:
             arrow = entry if isinstance(entry, Arrow) else Arrow(*entry)
+            if not isinstance(arrow.name, str):
+                raise QuiverError(f"arrow name {arrow.name!r} is not a string")
             if arrow.name in self.arrows:
                 raise QuiverError(f"duplicate arrow id {arrow.name!r}")
             if arrow.source not in self.vertex_set:
@@ -540,12 +539,10 @@ class Winding:
                    {a: a for a in q.arrows})
 
     def vertex_preimages(self, v):
-        return sorted((w for w, img in self.vertex_map.items() if img == v),
-                      key=str)
+        return sorted(w for w, img in self.vertex_map.items() if img == v)
 
     def arrow_preimages(self, name):
-        return sorted((b for b, img in self.arrow_map.items() if img == name),
-                      key=str)
+        return sorted(b for b, img in self.arrow_map.items() if img == name)
 
     def dim_map(self, dims):
         """Push a source dimension vector down to the target."""

@@ -242,7 +242,7 @@ def test_09_separation_of_principal_coefficients():
         qtilde, _phi, _mtilde = blow_up(ice, Walk.parse(ice, text))
         spine = qtilde.unfrozen_part()
         spine_walk = Walk.parse(
-            spine, " ".join(a for a in sorted(spine.arrows, key=str))
+            spine, " ".join(a for a in sorted(spine.arrows))
             or f"e({spine.vertices[0]})")
         l_tilde_pp = pp_character(spine, spine_walk)
         w_tilde = pp_variable_map(qtilde, spine)

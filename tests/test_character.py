@@ -43,7 +43,7 @@ def _mask_counts(diagram):
         for p in subset:
             v = diagram.labels[p - 1]
             dims[v] = dims.get(v, 0) + 1
-        key = tuple(sorted(dims.items(), key=str))
+        key = tuple(sorted(dims.items()))
         counts[key] = counts.get(key, 0) + 1
     return counts
 

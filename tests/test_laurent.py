@@ -60,6 +60,32 @@ def test_powers():
         f ** -1
 
 
+def test_power_squares_only_while_bits_remain(monkeypatch):
+    calls = []
+    mul = LaurentPoly.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+    f = LaurentPoly.var("a") + 1
+    powers = [LaurentPoly.one()]
+    for _ in range(4):
+        powers.append(powers[-1] * f)
+    for n, expected in [(1, 1), (2, 2), (3, 3), (4, 3)]:
+        calls.clear()
+        assert f ** n == powers[n]
+        assert len(calls) == expected, n
+
+
+def test_variables_are_strings():
+    with pytest.raises(TypeError, match="Laurent variable 1 is not a string"):
+        LaurentPoly.var(1)
+    with pytest.raises(TypeError, match="Laurent variable 1 is not a string"):
+        LaurentPoly.monomial(1, {1: 1})
+
+
 def test_as_unit():
     assert LaurentPoly.var("a", -3).as_unit() == (1, {"a": -3})
     assert (-LaurentPoly.var("a")).as_unit() == (-1, {"a": 1})
@@ -155,6 +181,20 @@ def test_text_canonical():
     assert f.text() == "2 * x[1]^2 x[2]^-1 + 1"
     assert LaurentPoly.zero().text() == "0"
     assert (-x1 - 1).text() == "-x[1] - 1"
+
+
+def test_output_order_of_string_variables():
+    x = {v: LaurentPoly.var(v) for v in ("10", "2", "1'", "y1", "y10")}
+    f = (3 * x["10"] ** 2 * x["y1"] ** -1 - x["2"] * x["1'"]
+         + x["y10"] * x["2"] ** -2 + 5 * x["1'"] ** 3 * x["y1"] - 1)
+    assert f.text() == ("5 * x[1']^3 x[y1] - x[1'] x[2] "
+                        "+ 3 * x[10]^2 x[y1]^-1 - 1 + x[2]^-2 x[y10]")
+    assert f.to_json() == (
+        '[{"coeff": 5, "exponents": {"1\'": 3, "y1": 1}}, '
+        '{"coeff": -1, "exponents": {"1\'": 1, "2": 1}}, '
+        '{"coeff": 3, "exponents": {"10": 2, "y1": -1}}, '
+        '{"coeff": -1, "exponents": {}}, '
+        '{"coeff": 1, "exponents": {"2": -2, "y10": 1}}]')
 
 
 def test_json_round_trip_randomised():

@@ -54,9 +54,17 @@ def test_duplicate_vertex_id_is_named():
         BoundIceQuiver(["1", "2", "3", "2"], [])
     with pytest.raises(InputParseError, match="duplicate vertex id '1'"):
         BoundIceQuiver.from_text("vertex 1\nvertex 1 frozen\n")
-    # outputs name vertices by text, so 1 and "1" would print alike
-    with pytest.raises(QuiverError, match="1 and '1' share the text '1'"):
+    # outputs name vertices by text, so 1 and "1" would print alike;
+    # ids are strings, and the int is rejected before the two can meet
+    with pytest.raises(QuiverError, match="vertex id 1 is not a string"):
         BoundIceQuiver([1, "1"], [("a", 1, "1")])
+
+
+def test_ids_and_arrow_names_are_strings():
+    with pytest.raises(QuiverError, match=r"vertex id \('1',\) is not a "):
+        BoundIceQuiver(["0", ("1",)], [])
+    with pytest.raises(QuiverError, match="arrow name 7 is not a string"):
+        BoundIceQuiver(["1", "2"], [(7, "1", "2")])
 
 
 def test_structural_invariants():
@@ -301,7 +309,7 @@ def test_blow_up_structure_doublearrow():
 def test_blow_up_three_vertex_cycle():
     q = load("a2ice")
     qtilde, phi, mtilde = blow_up(q, Walk.parse(q, "alpha"))
-    assert sorted(qtilde.vertices, key=str) == \
+    assert sorted(qtilde.vertices) == \
         ["3^beta;2", "3^gamma;1", "v1", "v2"]
     assert qtilde.frozen == frozenset({"3^beta;2", "3^gamma;1"})
     assert phi.vertex_map == {"v1": "1", "v2": "2",
