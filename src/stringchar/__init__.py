@@ -2,6 +2,7 @@
 in bound quivers with frozen vertices."""
 
 from .errors import (
+    ExponentOverflow,
     InputParseError,
     InvalidStringError,
     K0IllDefined,

@@ -28,8 +28,9 @@ class StringDiagram:
             self.edges.append((i, i + 1) if step.forward else (i + 1, i))
 
     def submodule_counts(self):
-        """The transfer product's terms: submodule count by dimension vector,
-        keyed as a monomial ((vertex, dim) pairs sorted by vertex)."""
+        """Submodule count by dimension vector, the dimension vector keyed
+        as its (vertex, dim) pairs sorted by vertex: the monomials of the
+        transfer product."""
         x = [LaurentPoly.var(v) for v in self.labels]
         out, inn = LaurentPoly.one(), x[0]
         for (p, q), x_next in zip(self.edges, x[1:]):
@@ -39,13 +40,15 @@ class StringDiagram:
             else:
                 # a subset containing k+1 must contain k
                 out, inn = out + inn, inn * x_next
-        return (out + inn).terms
+        return {tuple(exps.items()): count
+                for exps, count in (out + inn).monomials()}
 
 
 def gr_euler(c, e):
     """Number of submodules of the string module of c with dim vector e."""
     ensure_string(c.quiver, c)
-    return LaurentPoly(StringDiagram(c).submodule_counts()).coefficient(e)
+    key = tuple(sorted((v, d) for v, d in e.items() if d))
+    return StringDiagram(c).submodule_counts().get(key, 0)
 
 
 def total_gr_euler(c):
@@ -142,9 +145,9 @@ def separate(f, w):
         assignment[var] = mono
         w_exps[var] = unit[1]
     mins = None
-    for mono, _coeff in f.terms.items():
+    for f_exps, _coeff in f.monomials():
         exps = {}
-        for var, e in mono:
+        for var, e in f_exps.items():
             if var in w_exps:
                 for target, k in w_exps[var].items():
                     exps[target] = exps.get(target, 0) + e * k

@@ -45,6 +45,11 @@ class NotDivisible(StringCharError):
     """exact_div was asked for a quotient that does not exist."""
 
 
+class ExponentOverflow(StringCharError):
+    """A Laurent polynomial operation could produce an exponent beyond
+    `laurent.EXPONENT_LIMIT` in absolute value."""
+
+
 class NotInvertible(StringCharError):
     """A substitution needed the inverse of a non-monomial value."""
 

@@ -1,45 +1,145 @@
 """Exact multivariate Laurent polynomials with integer coefficients.
 
 Variables are strings (vertex ids in practice).  A polynomial is a sparse
-map from monomials to nonzero big integers; a monomial is stored as a tuple
-of (variable, nonzero exponent) pairs sorted by variable, so equal monomials
-always have equal keys, and output names a variable by the string itself.
+map from monomials to nonzero big integers, and a monomial is packed into
+one int.  A process-wide intern table gives each variable name a field
+index i the first time the name is used; the monomial with exponent e_i at
+index i is the int ``sum(e_i * 2**(32 * i))``, a signed 32-bit field per
+variable.  So a product of monomials is the sum of their keys, the inverse
+of a monomial is the negated key, and comparing keys compares monomials in
+lex order, the variable with the highest index first.  That order is a
+group order on Z^n, so `exact_div` divides Laurent polynomials directly
+(Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007).
+
+Names appear only at the edges: `monomials`, `text`, JSON, `coefficient`,
+`variables`, `as_unit` and `substitute` decode the keys and sort by name,
+so no output depends on the intern order.
+
+Every exponent lies within +-EXPONENT_LIMIT (2**29 - 1).  Each polynomial
+carries a bound on the absolute value of its exponents, and an operation
+whose result could leave the limit raises `ExponentOverflow` before it
+computes anything, instead of letting a field wrap into its neighbour.  A
+product is refused when the bounds of its factors add up past the limit,
+even if cancellation would have brought its exponents back under it.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 
-from .errors import NotDivisible, NotInvertible, NotSubtractionFree
+from .errors import ExponentOverflow, NotDivisible, NotInvertible, \
+    NotSubtractionFree
+
+_FIELD_BITS = 32
+_HALF = 1 << (_FIELD_BITS - 1)
+_MASK = (1 << _FIELD_BITS) - 1
+# exact_div compares a quotient exponent (up to twice the limit) with a box
+# corner (up to the limit); the difference must still fit a signed field
+EXPONENT_LIMIT = (1 << (_FIELD_BITS - 3)) - 1
+
+_NAMES = []    # field index -> variable name
+_UNITS = {}    # variable name -> key of the variable itself
+# _HALF in every field in use: adding it to a key whose fields are in
+# (-_HALF, _HALF) sets a field's top bit exactly when the field is >= 0
+_SIGNS = 0
 
 
-def _mono_key(exponents):
-    """Canonical monomial key from a {var: exp} mapping."""
-    return tuple(sorted((v, e) for v, e in exponents.items() if e != 0))
+def _unit(v):
+    """The key of the variable v, interning its name on first use."""
+    global _SIGNS
+    unit = _UNITS.get(v)
+    if unit is None:
+        if not isinstance(v, str):
+            raise TypeError(f"Laurent variable {v!r} is not a string")
+        unit = 1 << (_FIELD_BITS * len(_NAMES))
+        _NAMES.append(v)
+        _UNITS[v] = unit
+        _SIGNS |= unit * _HALF
+    return unit
 
 
-def _mono_mul(m1, m2):
-    exps = dict(m1)
-    for v, e in m2:
-        exps[v] = exps.get(v, 0) + e
-    return _mono_key(exps)
+def _check_limit(bound, what):
+    if bound > EXPONENT_LIMIT:
+        raise ExponentOverflow(
+            f"{what} could have an exponent of absolute value {bound}, "
+            f"beyond the limit {EXPONENT_LIMIT}")
+
+
+def _pack(exponents):
+    """Key and largest absolute exponent of a {var: exp} mapping."""
+    key = bound = 0
+    for v, e in exponents.items():
+        unit = _unit(v)
+        e = operator.index(e)
+        if e:
+            key += e * unit
+            bound = max(bound, abs(e))
+    _check_limit(bound, "the monomial")
+    return key, bound
+
+
+def _fields(key, n):
+    """The exponents at field indices 0..n-1 of a key."""
+    out = []
+    for _ in range(n):
+        e = ((key + _HALF) & _MASK) - _HALF
+        out.append(e)
+        key = (key - e) >> _FIELD_BITS
+    return out
+
+
+def _width(keys):
+    """A number of fields that reaches the highest nonzero field of every
+    key; it depends on the keys, not on how many names are interned."""
+    return max((abs(k).bit_length() for k in keys),
+               default=0) // _FIELD_BITS + 1
+
+
+def _unpack(key):
+    """The {var: exp} mapping of a key, sorted by variable name."""
+    fields = _fields(key, _width((key,)))
+    return dict(sorted((_NAMES[i], e) for i, e in enumerate(fields) if e))
+
+
+def _extent(terms, n):
+    """Per-field minimum and maximum exponents over the keys of terms."""
+    columns = list(zip(*(_fields(key, n) for key in terms)))
+    return [min(c) for c in columns], [max(c) for c in columns]
+
+
+def _from_fields(exponents):
+    """Key of a list of exponents indexed by field."""
+    return sum(e << (_FIELD_BITS * i) for i, e in enumerate(exponents))
 
 
 class LaurentPoly:
-    """An exact Laurent polynomial over the integers."""
+    """An exact Laurent polynomial over the integers.
 
-    __slots__ = ("terms",)
+    `terms` maps packed monomial keys to nonzero coefficients and `bound`
+    is at least the largest absolute exponent, at most EXPONENT_LIMIT.  The
+    constructor takes both as they are, so code outside this module builds
+    polynomials with `const`, `var`, `monomial` and the ring operations.
+    Both are treated as immutable once the polynomial is built, so the hash
+    is kept.
+    """
 
-    def __init__(self, terms=None):
-        self.terms = dict(terms) if terms else {}
+    __slots__ = ("terms", "bound", "_hash")
+
+    def __init__(self, terms, bound):
+        _check_limit(bound, "the polynomial")
+        self.terms = terms
+        self.bound = bound
+        self._hash = None
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls({}, 0)
 
     @classmethod
     def const(cls, c):
-        return cls({(): int(c)}) if c else cls()
+        return cls({0: int(c)}, 0) if c else cls.zero()
 
     @classmethod
     def one(cls):
@@ -51,12 +151,10 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, coeff, exponents):
-        for v in exponents:
-            if not isinstance(v, str):
-                raise TypeError(f"Laurent variable {v!r} is not a string")
+        key, bound = _pack(exponents)
         if coeff == 0:
-            return cls()
-        return cls({_mono_key(exponents): int(coeff)})
+            return cls.zero()
+        return cls({key: int(coeff)}, bound)
 
     # -- basic structure ---------------------------------------------------
 
@@ -66,11 +164,16 @@ class LaurentPoly:
     def __bool__(self):
         return bool(self.terms)
 
+    def monomials(self):
+        """Yield (exponents, coeff) for every term, exponents being a
+        {var: exp} dict sorted by variable name."""
+        for key, coeff in self.terms.items():
+            yield _unpack(key), coeff
+
     def variables(self):
         vs = set()
-        for mono in self.terms:
-            for v, _ in mono:
-                vs.add(v)
+        for exps, _coeff in self.monomials():
+            vs.update(exps)
         return vs
 
     def as_unit(self):
@@ -78,13 +181,20 @@ class LaurentPoly:
         coefficient 1 or -1, else None."""
         if len(self.terms) != 1:
             return None
-        (mono, coeff), = self.terms.items()
+        (key, coeff), = self.terms.items()
         if coeff not in (1, -1):
             return None
-        return coeff, dict(mono)
+        return coeff, _unpack(key)
 
     def coefficient(self, exponents):
-        return self.terms.get(_mono_key(exponents), 0)
+        key = 0
+        for v, e in exponents.items():
+            if e:
+                unit = _UNITS.get(v)
+                if unit is None or abs(e) > EXPONENT_LIMIT:
+                    return 0
+                key += e * unit
+        return self.terms.get(key, 0)
 
     def is_nonnegative(self):
         """True iff every coefficient is positive (or the polynomial is 0)."""
@@ -104,18 +214,19 @@ class LaurentPoly:
         if other is None:
             return NotImplemented
         terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            c = terms.get(mono, 0) + coeff
+        for key, coeff in other.terms.items():
+            c = terms.get(key, 0) + coeff
             if c:
-                terms[mono] = c
+                terms[key] = c
             else:
-                terms.pop(mono, None)
-        return LaurentPoly(terms)
+                del terms[key]
+        return LaurentPoly(terms, max(self.bound, other.bound))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({m: -c for m, c in self.terms.items()})
+        return LaurentPoly({k: -c for k, c in self.terms.items()},
+                           self.bound)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -130,16 +241,15 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        bound = self.bound + other.bound
+        _check_limit(bound, "the product")
         terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                c = terms.get(mono, 0) + c1 * c2
-                if c:
-                    terms[mono] = c
-                else:
-                    terms.pop(mono, None)
-        return LaurentPoly(terms)
+        get = terms.get
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key = k1 + k2
+                terms[key] = get(key, 0) + c1 * c2
+        return LaurentPoly({k: c for k, c in terms.items() if c}, bound)
 
     __rmul__ = __mul__
 
@@ -147,13 +257,11 @@ class LaurentPoly:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            unit = self.as_unit()
-            if unit is None:
+            if self.as_unit() is None:
                 raise NotInvertible(
                     f"cannot raise non-unit {self} to power {n}")
-            coeff, exps = unit
-            inv = LaurentPoly.monomial(coeff, {v: -e for v, e in exps.items()})
-            return inv ** (-n)
+            (key, coeff), = self.terms.items()
+            return LaurentPoly({-key: coeff}, self.bound) ** (-n)
         result = LaurentPoly.one()
         base = self
         while n:
@@ -171,73 +279,67 @@ class LaurentPoly:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        if self._hash is None:
+            self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
 
     # -- division ----------------------------------------------------------
 
     def exact_div(self, other):
-        """Return q with q * other == self, or raise NotDivisible."""
+        """Return q with q * other == self, or raise NotDivisible.
+
+        Divides by leading terms in the lex order of the keys.  If the
+        quotient q exists, its minimum and maximum exponent in each variable
+        are those of self minus those of other, and its least term is the
+        least term of self over that of other.  A candidate quotient term
+        outside that box, or below that term, proves that no quotient
+        exists.  Refusing them keeps every remainder term within the
+        exponent ranges of self, and it ends the division: every step emits
+        a new quotient term, and the box holds finitely many.
+        """
         other = self._coerce(other)
         if other is None or other.is_zero():
             raise ZeroDivisionError("division of a Laurent polynomial by zero")
         if self.is_zero():
             return LaurentPoly.zero()
-        # Shift both operands to honest polynomials; the per-variable minimum
-        # of exponents is multiplicative, so the shifted quotient is again a
-        # polynomial whenever the Laurent quotient exists.
-        shift_a = self._min_exponents()
-        shift_b = other._min_exponents()
-        a = self * LaurentPoly.monomial(1, {v: -e for v, e in shift_a.items()})
-        b = other * LaurentPoly.monomial(1, {v: -e for v, e in shift_b.items()})
-        varlist = sorted(a.variables() | b.variables())
-
-        def key(mono):
-            exps = dict(mono)
-            return tuple(exps.get(v, 0) for v in varlist)
-
-        lead_b = max(b.terms, key=key)
-        inv_lead_b = tuple((v, -e) for v, e in lead_b)
-        lead_b_coeff = b.terms[lead_b]
+        a, b = self.terms, other.terms
+        n = _width((*a, *b))
+        a_low, a_high = _extent(a, n)
+        b_low, b_high = _extent(b, n)
+        low = [x - y for x, y in zip(a_low, b_low)]
+        high = [x - y for x, y in zip(a_high, b_high)]
+        if any(x > y for x, y in zip(low, high)):
+            raise NotDivisible(f"{self} is not divisible by {other}")
+        bound = max(map(abs, low + high), default=0)
+        _check_limit(bound, "the quotient")
+        low, high = _from_fields(low), _from_fields(high)
+        # the mask spans every interned field, so a candidate with a nonzero
+        # field above the n of the operands, where low and high are 0, fails
+        signs = _SIGNS
+        least = min(a) - min(b)
+        lead_b = max(b)
+        lead_b_coeff = b[lead_b]
         quotient = {}
-        remainder = dict(a.terms)
+        remainder = dict(a)
         while remainder:
-            lead_r = max(remainder, key=key)
-            coeff_r = remainder[lead_r]
-            q_coeff, rem = divmod(coeff_r, lead_b_coeff)
+            lead_r = max(remainder)
+            q_key = lead_r - lead_b
+            if (q_key < least or (q_key - low + signs) & signs != signs
+                    or (high - q_key + signs) & signs != signs):
+                raise NotDivisible(f"{self} is not divisible by {other}")
+            q_coeff, rem = divmod(remainder[lead_r], lead_b_coeff)
             if rem != 0:
                 raise NotDivisible(f"{self} is not divisible by {other}")
-            q_mono = _mono_mul(lead_r, inv_lead_b)
-            if any(e < 0 for _, e in q_mono):
-                raise NotDivisible(f"{self} is not divisible by {other}")
             # the remainder's lead falls strictly: each quotient term is new
-            quotient[q_mono] = q_coeff
-            for b_mono, b_coeff in b.terms.items():
-                mono = _mono_mul(q_mono, b_mono)
-                c = remainder.get(mono, 0) - q_coeff * b_coeff
+            quotient[q_key] = q_coeff
+            for b_key, b_coeff in b.items():
+                key = q_key + b_key
+                c = remainder.get(key, 0) - q_coeff * b_coeff
                 if c:
-                    remainder[mono] = c
+                    remainder[key] = c
                 else:
-                    del remainder[mono]
-        shift = {v: shift_a.get(v, 0) - shift_b.get(v, 0)
-                 for v in set(shift_a) | set(shift_b)}
-        return LaurentPoly(quotient) * LaurentPoly.monomial(1, shift)
-
-    def _min_exponents(self):
-        """Componentwise minimum of the exponent vectors over all terms."""
-        mins = {}
-        first = True
-        for mono in self.terms:
-            exps = dict(mono)
-            if first:
-                mins = dict(exps)
-                first = False
-            else:
-                for v in list(mins):
-                    mins[v] = min(mins[v], exps.get(v, 0))
-                for v, e in exps.items():
-                    if v not in mins:
-                        mins[v] = min(0, e)
-        return {v: e for v, e in mins.items() if e != 0}
+                    del remainder[key]
+        return LaurentPoly(quotient, bound)
 
     # -- substitution and content -------------------------------------------
 
@@ -249,9 +351,9 @@ class LaurentPoly:
         to something that is not a unit.
         """
         result = LaurentPoly.zero()
-        for mono, coeff in self.terms.items():
+        for exps, coeff in self.monomials():
             term = LaurentPoly.const(coeff)
-            for v, e in mono:
+            for v, e in exps.items():
                 if v in assignment:
                     value = assignment[v]
                     if not isinstance(value, LaurentPoly):
@@ -274,14 +376,13 @@ class LaurentPoly:
         """
         if self.is_zero():
             raise ValueError("monomial content of the zero polynomial")
-        for mono in self.terms:
-            for _, e in mono:
-                if e < 0:
-                    raise ValueError(
-                        "monomial content requires nonnegative exponents")
-        eta = self._min_exponents()
-        rest = self * LaurentPoly.monomial(1, {v: -e for v, e in eta.items()})
-        return eta, rest
+        lows, _highs = _extent(self.terms, _width(self.terms))
+        if any(e < 0 for e in lows):
+            raise ValueError("monomial content requires nonnegative exponents")
+        eta = _from_fields(lows)
+        rest = LaurentPoly({k - eta: c for k, c in self.terms.items()},
+                           self.bound)
+        return _unpack(eta), rest
 
     def tropical_min_eval(self, frozen):
         """Evaluate in the tropical semifield over the frozen variables.
@@ -296,8 +397,8 @@ class LaurentPoly:
             raise NotSubtractionFree(
                 f"{self} has a negative coefficient")
         mins = None
-        for mono in self.terms:
-            exps = {v: e for v, e in mono if v in frozen}
+        for exps, _coeff in self.monomials():
+            exps = {v: e for v, e in exps.items() if v in frozen}
             if mins is None:
                 mins = exps
             else:
@@ -310,22 +411,25 @@ class LaurentPoly:
     # -- canonical output ----------------------------------------------------
 
     def _sorted_terms(self):
-        varlist = sorted(self.variables())
+        """(exponents, coeff) pairs in output order: descending lex order
+        with the variables sorted by name."""
+        terms = list(self.monomials())
+        varlist = sorted({v for exps, _coeff in terms for v in exps})
 
         def key(item):
-            exps = dict(item[0])
+            exps = item[0]
             return tuple(exps.get(v, 0) for v in varlist)
 
-        return sorted(self.terms.items(), key=key, reverse=True)
+        return sorted(terms, key=key, reverse=True)
 
     def text(self):
         """Canonical text form, e.g. ``2 * x[1]^2 x[2]^-1 + 1``."""
         if self.is_zero():
             return "0"
         pieces = []
-        for i, (mono, coeff) in enumerate(self._sorted_terms()):
-            factors = " ".join(
-                f"x[{v}]" if e == 1 else f"x[{v}]^{e}" for v, e in mono)
+        for i, (exps, coeff) in enumerate(self._sorted_terms()):
+            factors = " ".join(f"x[{v}]" if e == 1 else f"x[{v}]^{e}"
+                               for v, e in exps.items())
             if factors:
                 body = f"{abs(coeff)} * {factors}" if abs(coeff) != 1 else factors
             else:
@@ -343,8 +447,8 @@ class LaurentPoly:
         return f"LaurentPoly({self.text()!r})"
 
     def to_json_obj(self):
-        return [{"coeff": coeff, "exponents": dict(mono)}
-                for mono, coeff in self._sorted_terms()]
+        return [{"coeff": coeff, "exponents": exps}
+                for exps, coeff in self._sorted_terms()]
 
     def to_json(self):
         return json.dumps(self.to_json_obj())

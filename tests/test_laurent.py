@@ -1,12 +1,15 @@
 """Ring axioms, exact division, substitution and output formats of the
 Laurent polynomial layer."""
 
+import faulthandler
+import json
 import random
 
 import pytest
 
-from stringchar import LaurentPoly, Mat2, NotDivisible, NotInvertible, \
-    NotSubtractionFree
+from stringchar import ExponentOverflow, LaurentPoly, Mat2, NotDivisible, \
+    NotInvertible, NotSubtractionFree, StringCharError
+from stringchar.laurent import EXPONENT_LIMIT
 
 
 def random_poly(rng, nvars=3, nterms=4, span=3):
@@ -120,6 +123,76 @@ def test_exact_div_laurent_shift():
     x = LaurentPoly.var("x")
     f = (x + x ** -1) * (x ** -2 + 3)
     assert f.exact_div(x + x ** -1) == x ** -2 + 3
+
+
+def test_exact_div_ends_when_no_quotient_exists():
+    # With only the trail(a)/trail(b) check, leading-term division of
+    # x^2 + 1 by 1 + y^-1 + x^-1, with x the more significant variable,
+    # emits x^2 y^-k for ever, and so does that of x^2 y + 1, whose
+    # exponent box is not empty.  Each pair is also tried with x and y
+    # swapped, so whichever of the two the intern table ranks first, one
+    # run takes the unending branch.  A division that does not end stops
+    # the test run with exit status 1 after 10 s instead of hanging it; the
+    # traceback is shown under `pytest -s`.
+    faulthandler.dump_traceback_later(10, exit=True)
+    try:
+        for name_x, name_y in (("x", "y"), ("y", "x")):
+            x, y = LaurentPoly.var(name_x), LaurentPoly.var(name_y)
+            divisor = 1 + y ** -1 + x ** -1
+            for dividend in (x ** 2 + 1, x ** 2 * y + 1):
+                with pytest.raises(NotDivisible):
+                    dividend.exact_div(divisor)
+                assert (dividend * divisor).exact_div(divisor) == dividend
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
+
+def test_division_does_not_depend_on_other_interned_names():
+    # A variable interned after many others owns a high field, so its keys
+    # are wide ints; dividing in it must give the same results.
+    def divide(prefix):
+        x, y = LaurentPoly.var(prefix + "x"), LaurentPoly.var(prefix + "y")
+        divisor = x + y ** -1 + 2
+        quotient = x ** 2 * y - 3 * y ** -2 + x ** -1
+        with pytest.raises(NotDivisible):
+            (quotient * divisor + 1).exact_div(divisor)
+        eta, rest = (quotient * x * y ** 2).monomial_content()
+        return ((quotient * divisor).exact_div(divisor).text(), str(eta),
+                rest.text())
+
+    early = divide("early_")
+    for i in range(500):
+        LaurentPoly.var(f"unrelated_{i}")
+    late = divide("late_")
+    assert [t.replace("late_", "") for t in late] == \
+        [t.replace("early_", "") for t in early] == \
+        [t.replace("early_", "") for t in divide("early_")]
+    assert late[0] == "x[late_x]^2 x[late_y] - 3 * x[late_y]^-2 + x[late_x]^-1"
+
+
+def test_exponent_limit_refuses_instead_of_wrapping():
+    assert issubclass(ExponentOverflow, StringCharError)
+    x, y = LaurentPoly.var("x"), LaurentPoly.var("y")
+    top = LaurentPoly.var("x", EXPONENT_LIMIT - 1) * x
+    bottom = LaurentPoly.var("x", 1 - EXPONENT_LIMIT) * x ** -1
+    for f, text in ((top, f"x[x]^{EXPONENT_LIMIT}"),
+                    (bottom, f"x[x]^-{EXPONENT_LIMIT}")):
+        assert f.text() == text
+        assert LaurentPoly.from_json_obj(json.loads(f.to_json())) == f
+    with pytest.raises(ExponentOverflow):
+        top * x
+    with pytest.raises(ExponentOverflow):
+        LaurentPoly({}, EXPONENT_LIMIT + 1)
+    # refused on the factors' bounds, although the product is 1
+    with pytest.raises(ExponentOverflow):
+        top * bottom
+    with pytest.raises(ExponentOverflow):
+        (bottom + y) * (x ** -1 + y)
+    with pytest.raises(ExponentOverflow):
+        LaurentPoly.var("x", EXPONENT_LIMIT + 1)
+    with pytest.raises(ExponentOverflow):
+        top.exact_div(x ** -1)
+    assert top.exact_div(x) == LaurentPoly.var("x", EXPONENT_LIMIT - 1)
 
 
 def test_substitute_is_a_homomorphism():

@@ -1,12 +1,14 @@
 """Seed mutation, cluster-variable enumeration and character matching."""
 
+import random
+
 import pytest
 
 from stringchar import LaurentPoly, QuiverError, Seed, Walk, \
     cluster_character, enumerate_cluster_variables, match_character, mutate, \
     seed_from_ice_quiver
 
-from conftest import load
+from conftest import FIXTURES, load
 
 
 def var(v, power=1):
@@ -86,3 +88,75 @@ def test_match_character():
 def test_depth_zero_enumeration():
     seed = seed_from_ice_quiver(load("a2"))
     assert len(enumerate_cluster_variables(seed, 0)) == 2
+
+
+def test_matrix_mutation_matches_the_textbook_formula():
+    # b'_ij = -b_ij if k is i or j, else b_ij + (|b_ik| b_kj + b_ik |b_kj|)/2
+    rng = random.Random(1776)
+    for _ in range(200):
+        unfrozen = [f"u{n}" for n in range(rng.randint(1, 5))]
+        vertices = unfrozen + [f"f{n}" for n in range(rng.randint(0, 3))]
+        b = {}
+        for n, i in enumerate(unfrozen):
+            b[i, i] = 0
+            for j in unfrozen[n + 1:]:
+                b[i, j] = rng.randint(-3, 3)
+                b[j, i] = -b[i, j]
+        for i in vertices[len(unfrozen):]:
+            for j in unfrozen:
+                b[i, j] = rng.randint(-3, 3)
+        seed = Seed(vertices, unfrozen, b, {j: var(j) for j in unfrozen})
+        k = rng.choice(unfrozen)
+        expected = {
+            (i, j): -b[i, j] if k in (i, j) else
+            b[i, j] + (abs(b[i, k]) * b[k, j] + b[i, k] * abs(b[k, j])) // 2
+            for (i, j) in b}
+        assert mutate(seed, k).b == expected
+
+
+def _enumerate_by_mutation(seed, max_depth):
+    """enumerate_cluster_variables without the exchange memo: every
+    mutation computes its exchange polynomial afresh."""
+    seen = {seed.key()}
+    variables = set(seed.cluster.values())
+    frontier = [seed]
+    for _ in range(max_depth):
+        next_frontier = []
+        for current in frontier:
+            for k in current.unfrozen:
+                mutated = mutate(current, k)
+                if mutated.key() not in seen:
+                    seen.add(mutated.key())
+                    variables.update(mutated.cluster.values())
+                    next_frontier.append(mutated)
+        frontier = next_frontier
+    return sorted(variables, key=lambda f: f.text())
+
+
+def test_exchange_memo_matches_plain_mutation():
+    checked = 0
+    for path in sorted(FIXTURES.glob("*.quiver")):
+        try:
+            seed = seed_from_ice_quiver(load(path.stem))
+        except QuiverError:
+            continue
+        assert enumerate_cluster_variables(seed, 3) == \
+            _enumerate_by_mutation(seed, 3), path.stem
+        checked += 1
+    assert checked >= 10
+
+
+def test_enumeration_computes_each_exchange_once(monkeypatch):
+    calls = []
+    exact_div = LaurentPoly.exact_div
+
+    def counting_exact_div(self, other):
+        calls.append(1)
+        return exact_div(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "exact_div", counting_exact_div)
+    variables = enumerate_cluster_variables(
+        seed_from_ice_quiver(load("a4dec")), 10)
+    assert len(variables) == 14
+    # 3,260 mutations, but only 70 distinct exchanges
+    assert len(calls) <= 70
