@@ -57,6 +57,7 @@ from .homalg import (
     is_rigid,
     normalisation_vector,
     projective,
+    simple_pairings,
 )
 from .character import (
     StringDiagram,

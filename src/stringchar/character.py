@@ -8,9 +8,9 @@ import collections
 
 from .errors import K0IllDefined, NotSubtractionFree, QuiverError, \
     UnfrozenViolation
-from .homalg import euler_forms, hereditary_euler
+from .homalg import hereditary_euler, simple_pairings
 from .laurent import LaurentPoly
-from .quiver import ensure_string, simple, string_module
+from .quiver import ensure_string
 
 
 class StringDiagram:
@@ -75,24 +75,23 @@ def cluster_character(q, c):
     ensure_string(q, c)
     if c.quiver is not q:
         c = c.on(q)
-    m = string_module(q, c)
-    if m.support() & q.frozen:
+    dims = collections.Counter(c.vertices)
+    if dims.keys() & q.frozen:
         raise UnfrozenViolation(
             f"the string {c} touches the frozen vertices "
-            f"{sorted(m.support() & q.frozen)}")
+            f"{sorted(dims.keys() & q.frozen)}")
     # Ext^1(S_i,S_j) counts the arrows i -> j over an admissible monomial
     # ideal, so the anti-symmetrised form on simples is <S_i,S_j>_a = -b_ij
     anti = {(i, j): -q.b_entry(i, j) for i in q.vertices for j in q.vertices}
-    pair_m = {}
+    pair_m, back = simple_pairings(q, c)
     for i in q.vertices:
-        direct, anti_m = euler_forms(q, simple(q, i), m)
         # only the anti-symmetrised pairing is ever applied to a bare
         # dimension class, so that is the descent we must insist on
-        if anti_m != sum(m.dims[j] * anti[i, j] for j in q.vertices):
+        if pair_m[i] - back[i] != sum(d * anti[i, j]
+                                      for j, d in dims.items()):
             raise K0IllDefined(
                 f"the anti-symmetrised pairing with the simple at {i!r} "
                 f"does not descend to the dimension vector of {c}")
-        pair_m[i] = direct
     return _character(c, lambda e: {
         i: sum(d * anti[i, j] for j, d in e.items()) - pair_m[i]
         for i in q.vertices})

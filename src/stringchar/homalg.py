@@ -1,15 +1,17 @@
 """Homological algebra over monomial bound quiver algebras: projectives via
 path bases, Hom by exact elimination, Ext^1 from the relation complex, Euler
-forms, rigidity and the normalising vector of a string module."""
+forms and rigidity; and, counted on the string with no linear algebra, the
+pairings of a string module with the simples and its normalising vector."""
 
 from __future__ import annotations
 
+import collections
 import weakref
 from fractions import Fraction
 
 from . import exactmat
 from .errors import PathLimitExceeded, QuiverError
-from .quiver import Representation, blow_up, ensure_string, simple, string_module
+from .quiver import Representation, ensure_string, simple
 
 _path_basis_cache = weakref.WeakKeyDictionary()
 
@@ -170,16 +172,9 @@ def projective_cover_data(q, m):
     return cover, proj
 
 
-def ext1_dim(q, m, n):
-    """dim Ext^1(m, n) from the relation complex.
-
-    An extension of m by n is a choice of f_a: m(s(a)) -> n(t(a)) per arrow
-    a, allowed when every relation still composes to zero on the direct sum
-    of n and m.  On the relation a_1 ... a_k that composite is the linear map
-    d1(f) = sum_l n(a_{l+1} ... a_k) f_{a_l} m(a_1 ... a_{l-1}).  The split
-    extensions are the f_a = g_t m(a) - n(a) g_s for vertex maps g, a space
-    of dimension sum_v dim m(v) dim n(v) - dim Hom(m, n).
-    """
+def _relation_complex(q, m, n):
+    """(dimension of the space of arrow maps, rank of d1) for the relation
+    complex of ext1_dim."""
     # only finite-dimensional algebras are in scope
     path_basis(q)
     offsets = {}
@@ -190,6 +185,9 @@ def ext1_dim(q, m, n):
     rows = []
     for rel in q.relations:
         source, target = q.arrows[rel[0]].source, q.arrows[rel[-1]].target
+        if not m.dims[source] or not n.dims[target]:
+            # d1 maps into Hom(m(source), n(target)), which is zero
+            continue
         block = [[[Fraction(0)] * total for _j in range(m.dims[source])]
                  for _i in range(n.dims[target])]
         # prefixes[l] = m(a_1 ... a_l) by columns, one per j < dim m(source)
@@ -219,14 +217,31 @@ def ext1_dim(q, m, n):
                            Fraction(0)) for k in range(n.dims[arrow.source])]
                       for left in suffix]
         rows.extend(row for line in block for row in line)
-    cocycles = total - exactmat.rank(rows, total)
+    return total, exactmat.rank(rows, total)
+
+
+def ext1_dim(q, m, n):
+    """dim Ext^1(m, n) from the relation complex.
+
+    An extension of m by n is a choice of f_a: m(s(a)) -> n(t(a)) per arrow
+    a, allowed when every relation still composes to zero on the direct sum
+    of n and m.  On the relation a_1 ... a_k that composite is the linear map
+    d1(f) = sum_l n(a_{l+1} ... a_k) f_{a_l} m(a_1 ... a_{l-1}).  The split
+    extensions are the f_a = g_t m(a) - n(a) g_s for vertex maps g, a space
+    of dimension sum_v dim m(v) dim n(v) - dim Hom(m, n).
+    """
+    total, rank = _relation_complex(q, m, n)
     split = sum(m.dims[v] * n.dims[v] for v in q.vertices) - hom_dim(q, m, n)
-    return cocycles - split
+    return total - rank - split
 
 
 def euler_form(q, m, n):
-    """The truncated Euler form <m,n> = dim Hom(m,n) - dim Ext^1(m,n)."""
-    return hom_dim(q, m, n) - ext1_dim(q, m, n)
+    """The truncated Euler form <m,n> = dim Hom(m,n) - dim Ext^1(m,n).
+
+    The Hom term of ext1_dim cancels, leaving sum_v dim m(v) dim n(v) minus
+    the dimension of the arrow maps plus the rank of d1."""
+    total, rank = _relation_complex(q, m, n)
+    return sum(m.dims[v] * n.dims[v] for v in q.vertices) - total + rank
 
 
 def euler_forms(q, m, n):
@@ -251,18 +266,104 @@ def is_rigid(q, m):
     return ext1_dim(q, m, m) == 0
 
 
-def normalisation_vector(q, c):
-    """The per-vertex normalisation of a string module, supported on the
-    closure of its support: the truncated pairing with each simple minus the
-    hereditary pairing of the simple fibres with the spine module of the
-    blow-up."""
+def simple_pairings(q, c):
+    """The truncated Euler forms of the string module M of c with every
+    simple, counted on the string: ({i: <S_i,M>}, {i: <M,S_i>}).
+
+    Over a monomial algebra the simple S_i has the projective presentation
+    P_i <- (+)_{a: i -> j} P_j <- (+)_{relations a p} P_t(p), so
+    <S_i,M> = dim M_i - sum_a dim M_t(a) + rank d, where d sends an element
+    m of M at the end of a to p m, one block per relation a p.  On a string
+    module an arrow takes a position to at most one position, and no two
+    positions to the same one, so every row of d has at most one nonzero
+    entry, and its rank is the number of pairs (a, k) such that the rest p
+    of some relation a p walks on from the position k.  Hence
+
+        <S_i,M> = dim M_i - #{(a, k) : a: i -> label(k), and no relation
+                  a p has p walking forward from k},
+
+    and, over the opposite algebra,
+
+        <M,S_i> = dim M_i - #{(a, k) : a: label(k) -> i, and no relation
+                  p a has p walking backward from k}.
+    """
     ensure_string(q, c)
-    m = string_module(q, c)
-    qtilde, phi, mtilde = blow_up(q, c)
-    result = {}
-    for i in phi.target.vertices:
-        value = euler_form(q, simple(q, i), m)
-        for j in phi.vertex_preimages(i):
-            value -= hereditary_euler(qtilde, {j: 1}, mtilde.dims)
-        result[i] = value
+    # only finite-dimensional algebras are in scope
+    path_basis(q)
+    if c.quiver is not q:
+        c = c.on(q)
+    labels = c.vertices
+    # ahead[k][a] is the position that arrow a takes position k to, and
+    # behind[k][a] the position that a takes to k
+    ahead = [{} for _ in labels]
+    behind = [{} for _ in labels]
+    for k, step in enumerate(c.steps):
+        source, target = (k, k + 1) if step.forward else (k + 1, k)
+        ahead[source][step.arrow] = target
+        behind[target][step.arrow] = source
+
+    def walks(moves, k, path):
+        for name in path:
+            k = moves[k].get(name)
+            if k is None:
+                return False
+        return True
+
+    # the rest of each relation after its first arrow, and before its last
+    # arrow read backwards
+    after, before = {}, {}
+    for rel in q.relations:
+        after.setdefault(rel[0], []).append(rel[1:])
+        before.setdefault(rel[-1], []).append(rel[-2::-1])
+    dims = collections.Counter(labels)
+    forward = {i: dims[i] for i in q.vertices}
+    backward = dict(forward)
+    for k, v in enumerate(labels):
+        for arrow in q.arrows_to(v):
+            if not any(walks(ahead, k, p) for p in after.get(arrow.name, ())):
+                forward[arrow.source] -= 1
+        for arrow in q.arrows_from(v):
+            if not any(walks(behind, k, p)
+                       for p in before.get(arrow.name, ())):
+                backward[arrow.target] -= 1
+    return forward, backward
+
+
+def normalisation_vector(q, c):
+    """The per-vertex normalisation of a string module M, supported on the
+    closure of its support (the support and its one-arrow neighbours).
+
+    Its entry at i is the truncated pairing <S_i,M> minus the hereditary
+    pairing of the simple fibres over i with the spine module of the
+    blow-up of q along c (`quiver.blow_up`).  The spine module is 1 on the
+    spine and 0 on the frozen pendants, so that pairing has a closed form:
+    the spine vertex over a position k adds 1 - (spine steps leaving k),
+    and each in-pendant (an arrow into label(k) that neither step at k
+    uses) adds -1.  Summed over the positions labelled i, the spine steps
+    leaving them are the steps whose arrow starts at i, so
+
+        n_i = <S_i,M> - dim M_i + #{steps whose arrow starts at i}
+              + #{(a, k) : a: i -> label(k) used by neither step at k}.
+
+    No blow-up is built.
+    """
+    forward, _backward = simple_pairings(q, c)
+    if c.quiver is not q:
+        c = c.on(q)
+    support = set(c.vertices)
+    closure = set(support)
+    for arrow in q.arrows.values():
+        if arrow.source in support:
+            closure.add(arrow.target)
+        if arrow.target in support:
+            closure.add(arrow.source)
+    dims = collections.Counter(c.vertices)
+    result = {i: forward[i] - dims[i] for i in q.vertices if i in closure}
+    for step in c.steps:
+        result[q.arrows[step.arrow].source] += 1
+    for k, v in enumerate(c.vertices):
+        used = (c.step_arrow(k), c.step_arrow(k + 1))
+        for arrow in q.arrows_to(v):
+            if arrow.name not in used:
+                result[arrow.source] += 1
     return result

@@ -130,18 +130,22 @@ def enumerate_cluster_variables(seed, max_depth):
     seen_seeds = {seed.key()}
     variables = {seed.cluster[j] for j in seed.unfrozen}
     exchanges = {}
-    frontier = [seed]
+    # each frontier seed with the vertex it was mutated at; mutation is an
+    # involution, so mutating there again gives back its parent
+    frontier = [(seed, None)]
     for _ in range(max_depth):
         next_frontier = []
-        for current in frontier:
+        for current, came_from in frontier:
             for k in current.unfrozen:
+                if k == came_from:
+                    continue
                 mutated = mutate(current, k, exchanges)
                 key = mutated.key()
                 if key in seen_seeds:
                     continue
                 seen_seeds.add(key)
                 variables.update(mutated.cluster[j] for j in mutated.unfrozen)
-                next_frontier.append(mutated)
+                next_frontier.append((mutated, k))
         frontier = next_frontier
         if not frontier:
             break

@@ -134,9 +134,12 @@ def test_domain_error_exit_code(capsys, tmp_path):
     path = tmp_path / "cycle3.quiver"
     path.write_text("vertex 1\nvertex 2\nvertex 3\narrow a 1 -> 2\n"
                     "arrow b 2 -> 3\narrow c 3 -> 1\n")
-    code, _, err = run(capsys, "euler", str(path), "--lhs", "a", "--rhs", "b")
-    assert code == 1
-    assert "PathLimitExceeded" in err
+    for argv in (("euler", str(path), "--lhs", "a", "--rhs", "b"),
+                 ("character", str(path), "--string", "a"),
+                 ("normalise", str(path), "--string", "a")):
+        code, _, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert "PathLimitExceeded" in err, argv
 
 
 def test_k0_ill_defined_exit_code(capsys, tmp_path):
@@ -148,21 +151,29 @@ def test_k0_ill_defined_exit_code(capsys, tmp_path):
     assert "K0IllDefined" in err and "'3'" in err
 
 
-def test_verify_builds_no_projective_cover(capsys, monkeypatch):
-    # the character and the normalising vector pair with the simples through
-    # the relation complex alone
-    sweeps = [(fixture("dcyclic3"), "4"), (fixture("diamond5"), "3")]
-    expected = [run(capsys, "verify", path, "--max-length", length)
-                for path, length in sweeps]
+def test_string_commands_build_no_representation(capsys, monkeypatch):
+    # the character, the normalising vector and verify count the pairings
+    # with the simples on the string: they build no module at all, so no
+    # projective cover either
+    calls = [
+        ("verify", fixture("dcyclic3"), "--max-length", "4"),
+        ("verify", fixture("diamond5"), "--max-length", "3"),
+        ("character", fixture("dcyclic4"), "--string", "a2 a3"),
+        ("character", fixture("diamond5"), "--string",
+         "delta^-1 beta gamma", "--json"),
+        ("normalise", fixture("dcyclic4"), "--string", "a1^-1 a4^-1"),
+        ("normalise", fixture("a2ice"), "--string", "beta"),
+    ]
+    expected = [run(capsys, *argv) for argv in calls]
 
-    def no_cover(q, m):
-        raise AssertionError("projective cover built on the pairing path")
+    def no_module(*args, **kwargs):
+        raise AssertionError("a representation built on the pairing path")
 
-    monkeypatch.setattr("stringchar.homalg.projective_cover_data", no_cover)
-    for (path, length), (code, out, _err) in zip(sweeps, expected):
+    monkeypatch.setattr("stringchar.quiver.Representation.__init__",
+                        no_module)
+    for argv, (code, out, _err) in zip(calls, expected):
         assert code == 0
-        assert run(capsys, "verify", path, "--max-length", length) == \
-            (code, out, "")
+        assert run(capsys, *argv) == (code, out, ""), argv
 
 
 def test_missing_file_is_a_hard_error():

@@ -9,11 +9,11 @@ from fractions import Fraction
 import pytest
 
 from stringchar import BoundIceQuiver, PathBasis, PathLimitExceeded, \
-    QuiverError, Representation, Walk, direct_sum, enumerate_strings, \
-    euler_forms, exactmat, ext1_dim, hereditary_euler, hom_dim, is_rigid, \
-    normalisation_vector, numerator_normalisation, projective, simple, \
-    string_module
-from stringchar.homalg import projective_cover_data
+    QuiverError, Representation, Walk, blow_up, direct_sum, \
+    enumerate_strings, euler_forms, exactmat, ext1_dim, hereditary_euler, \
+    hom_dim, is_rigid, normalisation_vector, numerator_normalisation, \
+    projective, simple, simple_pairings, string_module
+from stringchar.homalg import euler_form, projective_cover_data
 
 from conftest import FIXTURES, load
 
@@ -87,13 +87,17 @@ def _in_a_random_basis(q, m, rng):
 
 def _assert_ext1_matches_the_oracle(q, modules):
     """ext1_dim on every ordered pair of modules against the Hom sequence
-    of one presentation 0 -> Omega -> P -> m -> 0 per module."""
+    of one presentation 0 -> Omega -> P -> m -> 0 per module, and
+    euler_form against Hom minus Ext^1."""
     for m in modules:
         cover, omega = _syzygy(q, m)
         for n in modules:
-            oracle = hom_dim(q, omega, n) - hom_dim(q, cover, n) + \
-                hom_dim(q, m, n)
-            assert ext1_dim(q, m, n) == oracle, (q.relations, m, n)
+            hom = hom_dim(q, m, n)
+            ext1 = ext1_dim(q, m, n)
+            oracle = hom_dim(q, omega, n) - hom_dim(q, cover, n) + hom
+            assert ext1 == oracle, (q.relations, m, n)
+            # euler_form takes the Hom terms as cancelled
+            assert euler_form(q, m, n) == hom - ext1, (q.relations, m, n)
 
 
 # -- path bases and projectives ---------------------------------------------
@@ -340,3 +344,54 @@ def test_normalisation_matches_numerator_content_on_rigid_strings():
             eta = numerator_normalisation(q, c)
             assert {v: e for v, e in vector.items() if e} == \
                 {v: e for v, e in eta.items() if e}, str(c)
+
+
+# -- pairings and the normalising vector counted on the string -------------
+
+def _blow_up_normalisation(q, c, forward):
+    """The normalising vector through the blow-up, given <S_i, M> for every
+    vertex i: the pairing minus the hereditary pairing of the simple fibres
+    over i with the spine module."""
+    qtilde, phi, mtilde = blow_up(q, c)
+    return {i: forward[i] - sum(hereditary_euler(qtilde, {j: 1}, mtilde.dims)
+                                for j in phi.vertex_preimages(i))
+            for i in phi.target.vertices}
+
+
+def _assert_pairings_match_the_oracle(q, strings):
+    simples = {v: simple(q, v) for v in q.vertices}
+    for c in strings:
+        m = string_module(q, c)
+        forward = {i: euler_form(q, simples[i], m) for i in q.vertices}
+        backward = {i: euler_form(q, m, simples[i]) for i in q.vertices}
+        assert simple_pairings(q, c) == (forward, backward), str(c)
+        assert normalisation_vector(q, c) == \
+            _blow_up_normalisation(q, c, forward), str(c)
+
+
+def _pairing_quivers():
+    return _hand_built_quivers() + [
+        # relations of length 3 that start and end at the same vertex
+        BoundIceQuiver(["1", "2", "3"],
+                       [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1")],
+                       relations=[("a", "b", "c"), ("b", "c", "a"),
+                                  ("c", "a", "b")]),
+        # a loop with a a = 0, and a relation through it
+        BoundIceQuiver(["1", "2", "3"],
+                       [("a", "1", "1"), ("b", "1", "2"), ("c", "3", "1")],
+                       relations=[("a", "a"), ("c", "a", "b")]),
+        # frozen vertices on two 3-cycles beside the string 1 -> 2 -> 3
+        BoundIceQuiver(["0", "1", "2", "3", "4"],
+                       [("f", "0", "1"), ("a", "1", "2"), ("b", "2", "3"),
+                        ("g", "3", "4"), ("h", "2", "0"), ("k", "4", "2")],
+                       frozen=["0", "4"],
+                       relations=[("f", "a"), ("a", "h"), ("h", "f"),
+                                  ("b", "g"), ("g", "k"), ("k", "b")]),
+    ]
+
+
+def test_pairings_and_normaliser_match_the_generic_engine():
+    for q in fixture_quivers():
+        _assert_pairings_match_the_oracle(q, enumerate_strings(q, 5))
+    for q in _pairing_quivers():
+        _assert_pairings_match_the_oracle(q, enumerate_strings(q, 4))

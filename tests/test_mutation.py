@@ -114,23 +114,30 @@ def test_matrix_mutation_matches_the_textbook_formula():
         assert mutate(seed, k).b == expected
 
 
-def _enumerate_by_mutation(seed, max_depth):
-    """enumerate_cluster_variables without the exchange memo: every
-    mutation computes its exchange polynomial afresh."""
+def _enumerate_by_mutation(seed, max_depth, exchanges=None):
+    """enumerate_cluster_variables as a plain breadth-first search: every
+    frontier seed is mutated at every unfrozen vertex, and without
+    `exchanges` every mutation computes its exchange polynomial afresh.
+    Returns (variables, mutations made, non-root seeds mutated)."""
     seen = {seed.key()}
     variables = set(seed.cluster.values())
     frontier = [seed]
-    for _ in range(max_depth):
+    mutations = mutated_non_root = 0
+    for depth in range(max_depth):
+        if depth:
+            mutated_non_root += len(frontier)
         next_frontier = []
         for current in frontier:
             for k in current.unfrozen:
-                mutated = mutate(current, k)
+                mutations += 1
+                mutated = mutate(current, k, exchanges)
                 if mutated.key() not in seen:
                     seen.add(mutated.key())
                     variables.update(mutated.cluster.values())
                     next_frontier.append(mutated)
         frontier = next_frontier
-    return sorted(variables, key=lambda f: f.text())
+    return (sorted(variables, key=lambda f: f.text()), mutations,
+            mutated_non_root)
 
 
 def test_exchange_memo_matches_plain_mutation():
@@ -141,7 +148,7 @@ def test_exchange_memo_matches_plain_mutation():
         except QuiverError:
             continue
         assert enumerate_cluster_variables(seed, 3) == \
-            _enumerate_by_mutation(seed, 3), path.stem
+            _enumerate_by_mutation(seed, 3)[0], path.stem
         checked += 1
     assert checked >= 10
 
@@ -158,5 +165,23 @@ def test_enumeration_computes_each_exchange_once(monkeypatch):
     variables = enumerate_cluster_variables(
         seed_from_ice_quiver(load("a4dec")), 10)
     assert len(variables) == 14
-    # 3,260 mutations, but only 70 distinct exchanges
+    # 2,446 mutations, but only 70 distinct exchanges
     assert len(calls) <= 70
+
+
+def test_enumeration_skips_the_vertex_each_seed_came_from(monkeypatch):
+    seed = seed_from_ice_quiver(load("a4dec"))
+    variables, plain_calls, mutated_non_root = _enumerate_by_mutation(
+        seed, 10, {})
+    calls = []
+
+    def counting_mutate(*args):
+        calls.append(args[1])
+        return mutate(*args)
+
+    monkeypatch.setattr("stringchar.mutation.mutate", counting_mutate)
+    assert enumerate_cluster_variables(seed, 10) == variables
+    # mutation is an involution: mutating a seed at the vertex it came from
+    # gives back its parent, so each mutated non-root seed saves one call
+    assert mutated_non_root > 0
+    assert plain_calls - len(calls) >= mutated_non_root
