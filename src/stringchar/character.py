@@ -1,6 +1,10 @@
-"""Cluster characters of string modules: submodule counts of the string
-diagram, the character with coefficients, the principal-coefficient
-character and the separation map."""
+"""Cluster characters of string modules, all from one weighted transfer
+product over the string diagram (`StringDiagram.transfer`), and the
+separation map.  The exponents of a submodule are pairings with the
+simples, affine in its dimension vector (Palu 2008), so the character is
+the transfer product with each label j weighted by a fixed monomial w_j,
+times one monomial.  The principal-coefficient character is the character
+over the principal extension (Fomin-Zelevinsky, Cluster algebras IV)."""
 
 from __future__ import annotations
 
@@ -8,18 +12,16 @@ import collections
 
 from .errors import K0IllDefined, NotSubtractionFree, QuiverError, \
     UnfrozenViolation
-from .homalg import hereditary_euler, simple_pairings
+from .homalg import simple_pairings
 from .laurent import LaurentPoly
-from .quiver import ensure_string
+from .quiver import ensure_string, principal_extension
 
 
 class StringDiagram:
     """The order diagram of a string: positions 1..n+1 labelled by walk
     vertices, one oriented edge per step (forward points i -> i+1, inverse
-    points i+1 -> i).  Submodules correspond to successor-closed position
-    subsets, which are summed by a two-state transfer product along the
-    positions: `out` and `inn` generate, in the label variables, the closed
-    subsets of positions 1..k that leave out or contain position k."""
+    points i+1 -> i).  Submodules correspond to the successor-closed
+    position subsets, which `transfer` sums along the positions."""
 
     def __init__(self, c):
         self.labels = c.vertices
@@ -27,21 +29,30 @@ class StringDiagram:
         for i, step in enumerate(c.steps, start=1):
             self.edges.append((i, i + 1) if step.forward else (i + 1, i))
 
+    def transfer(self, weight):
+        """The sum, over the successor-closed position subsets S, of the
+        product of weight[label(k)] over the positions k in S.
+
+        A two-state product: `out` and `inn` sum the closed subsets of the
+        positions 1..k that leave out or contain position k."""
+        w = [weight[v] for v in self.labels]
+        out, inn = LaurentPoly.one(), w[0]
+        for (p, q), w_next in zip(self.edges, w[1:]):
+            if p < q:
+                # a subset containing k must contain k+1
+                inn = (out + inn) * w_next
+            else:
+                # a subset containing k+1 must contain k
+                out, inn = out + inn, inn * w_next
+        return out + inn
+
     def submodule_counts(self):
         """Submodule count by dimension vector, the dimension vector keyed
         as its (vertex, dim) pairs sorted by vertex: the monomials of the
-        transfer product."""
-        x = [LaurentPoly.var(v) for v in self.labels]
-        out, inn = LaurentPoly.one(), x[0]
-        for (p, q), x_next in zip(self.edges, x[1:]):
-            if p < q:
-                # a subset containing k must contain k+1
-                inn = (out + inn) * x_next
-            else:
-                # a subset containing k+1 must contain k
-                out, inn = out + inn, inn * x_next
+        transfer product in the label variables."""
+        x = {v: LaurentPoly.var(v) for v in self.labels}
         return {tuple(exps.items()): count
-                for exps, count in (out + inn).monomials()}
+                for exps, count in self.transfer(x).monomials()}
 
 
 def gr_euler(c, e):
@@ -55,15 +66,6 @@ def total_gr_euler(c):
     """Total submodule count of the string module of c."""
     ensure_string(c.quiver, c)
     return sum(StringDiagram(c).submodule_counts().values())
-
-
-def _character(c, exponents):
-    """Sum of count * x^exponents(e) over the submodule dimension vectors e
-    of the string module of c."""
-    result = LaurentPoly.zero()
-    for key, count in StringDiagram(c).submodule_counts().items():
-        result = result + LaurentPoly.monomial(count, exponents(dict(key)))
-    return result
 
 
 def cluster_character(q, c):
@@ -81,48 +83,42 @@ def cluster_character(q, c):
             f"the string {c} touches the frozen vertices "
             f"{sorted(dims.keys() & q.frozen)}")
     # Ext^1(S_i,S_j) counts the arrows i -> j over an admissible monomial
-    # ideal, so the anti-symmetrised form on simples is <S_i,S_j>_a = -b_ij
-    anti = {(i, j): -q.b_entry(i, j) for i in q.vertices for j in q.vertices}
+    # ideal, so the anti-symmetrised form on simples is <S_i,S_j>_a = -b_ij,
+    # the exponent of x_i in w_j.  The exponent of x_i at a submodule of
+    # dimension vector e, sum_j e_j <S_i,S_j>_a - <S_i,M>, is thus its
+    # exponent in prod_j w_j^e_j * x^-<S_.,M>; `anti` sums it at e = dim M.
+    weight = {}
+    anti = collections.Counter()
+    for j, d in dims.items():
+        exps = collections.Counter(a.target for a in q.arrows_from(j))
+        exps.subtract(a.source for a in q.arrows_to(j))
+        weight[j] = LaurentPoly.monomial(1, exps)
+        for i, k in exps.items():
+            anti[i] += d * k
     pair_m, back = simple_pairings(q, c)
     for i in q.vertices:
         # only the anti-symmetrised pairing is ever applied to a bare
         # dimension class, so that is the descent we must insist on
-        if pair_m[i] - back[i] != sum(d * anti[i, j]
-                                      for j, d in dims.items()):
+        if pair_m[i] - back[i] != anti[i]:
             raise K0IllDefined(
                 f"the anti-symmetrised pairing with the simple at {i!r} "
                 f"does not descend to the dimension vector of {c}")
-    return _character(c, lambda e: {
-        i: sum(d * anti[i, j] for j, d in e.items()) - pair_m[i]
-        for i in q.vertices})
+    return StringDiagram(c).transfer(weight) * LaurentPoly.monomial(
+        1, {i: -pair_m[i] for i in q.vertices})
 
 
 def pp_character(q, c):
     """The principal-coefficient character over an acyclic relation-free
-    quiver, in the initial variables and the frozen variables i'."""
+    quiver, in the initial variables and the frozen variables i': the
+    cluster character of the string over the principal extension of q."""
     if q.relations or not q.is_acyclic():
         raise QuiverError("principal-coefficient characters need an acyclic "
                           "relation-free quiver")
     if q.frozen:
         raise QuiverError("the input quiver must have no frozen vertices; "
                           "the principal extension is added internally")
-    ensure_string(q, c)
-    if c.quiver is not q:
-        c = c.on(q)
-    dims = collections.Counter(c.vertices)
-
-    def exponents(e):
-        rest = {v: dims[v] - e.get(v, 0) for v in q.vertices}
-        exps = {}
-        for i in q.vertices:
-            unit = {i: 1}
-            exps[i] = -hereditary_euler(q, e, unit) - hereditary_euler(
-                q, unit, rest)
-            if rest[i]:
-                exps[f"{i}'"] = rest[i]
-        return exps
-
-    return _character(c, exponents)
+    ext = principal_extension(q)
+    return cluster_character(ext, c.on(ext))
 
 
 def separate(f, w):

@@ -61,7 +61,7 @@ def _build_parser():
     return parser
 
 
-def _parse_dimvec(text):
+def _parse_dimvec(q, text):
     dims = {}
     for piece in text.split(","):
         piece = piece.strip()
@@ -71,13 +71,30 @@ def _parse_dimvec(text):
             raise InputParseError(
                 f"dimension vector entry {piece!r} is not of the form v=d")
         v, _, d = piece.partition("=")
+        v = v.strip()
         try:
-            dims[v.strip()] = int(d)
+            n = int(d)
         except ValueError:
             raise InputParseError(
-                f"dimension {d!r} for vertex {v.strip()!r} is not an "
+                f"dimension {d!r} for vertex {v!r} is not an "
                 "integer") from None
+        if v not in q.vertex_set:
+            raise InputParseError(f"{v!r} in the dimension vector is not a "
+                                  "vertex of the quiver")
+        if v in dims:
+            raise InputParseError(
+                f"vertex {v!r} appears twice in the dimension vector")
+        if n < 0:
+            raise InputParseError(f"dimension {n} for vertex {v!r} is "
+                                  "negative")
+        dims[v] = n
     return dims
+
+
+def _nonnegative(option, value):
+    if value < 0:
+        raise InputParseError(f"{option} must be nonnegative, got {value}")
+    return value
 
 
 def _emit_poly(f, as_json):
@@ -100,7 +117,7 @@ def _run(args):
         if args.dimvec is None:
             print(character.total_gr_euler(c))
         else:
-            print(character.gr_euler(c, _parse_dimvec(args.dimvec)))
+            print(character.gr_euler(c, _parse_dimvec(q, args.dimvec)))
     elif args.command == "normalise":
         c = Walk.parse(q, args.string)
         vector = homalg.normalisation_vector(q, c)
@@ -113,23 +130,25 @@ def _run(args):
         print(json.dumps({"truncated": truncated,
                           "antisymmetrised": anti}))
     elif args.command == "enumerate":
+        depth = _nonnegative("--depth", args.depth)
         seed = mutation.seed_from_ice_quiver(q)
-        variables = mutation.enumerate_cluster_variables(seed, args.depth)
+        variables = mutation.enumerate_cluster_variables(seed, depth)
         if args.json:
             print(json.dumps([f.to_json_obj() for f in variables]))
         else:
             for f in variables:
                 print(f.text())
     elif args.command == "match":
+        depth = _nonnegative("--depth", args.depth)
         c = Walk.parse(q, args.string)
         f = character.cluster_character(q, c)
         seed = mutation.seed_from_ice_quiver(q)
-        if mutation.match_character(seed, f, args.depth):
+        if mutation.match_character(seed, f, depth):
             print("found")
         else:
             print("not-found")
     elif args.command == "verify":
-        return _verify(q, args.max_length)
+        return _verify(q, _nonnegative("--max-length", args.max_length))
     return 0
 
 

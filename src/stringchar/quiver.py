@@ -588,6 +588,8 @@ def pushforward(phi, rep):
 def blow_up(q, c):
     """Unfold q along a string into a type-A spine with frozen pendants.
 
+    The spine vertices are v1..v{n+1}.  Each pendant vertex takes the name
+    of its pendant arrow, {arrow}@v{k}, and a loop's in-pendant adds a '.
     Returns (blown-up ice quiver, winding onto the closure of the support,
     spine representation).
     """
@@ -618,8 +620,7 @@ def blow_up(q, c):
         for arrow in q.arrows_from(u):
             if arrow.name in excluded:
                 continue
-            pv = f"{arrow.target}^{arrow.name};{i}"
-            pa = f"{arrow.name}@v{i}"
+            pv = pa = f"{arrow.name}@v{i}"
             vertices.append(pv)
             arrows.append((pa, f"v{i}", pv))
             pendants.append(pv)
@@ -628,12 +629,10 @@ def blow_up(q, c):
         for arrow in q.arrows_to(u):
             if arrow.name in excluded:
                 continue
-            pv = f"{arrow.source}^{arrow.name};{i}"
-            pa = f"{arrow.name}@v{i}"
+            pv = pa = f"{arrow.name}@v{i}"
             if arrow.source == arrow.target:
-                # a loop also has an out-pendant of the same names
-                pv += "'"
-                pa += "'"
+                # a loop also has an out-pendant of the same name
+                pv = pa = pa + "'"
             vertices.append(pv)
             arrows.append((pa, pv, f"v{i}"))
             pendants.append(pv)

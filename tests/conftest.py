@@ -1,10 +1,30 @@
+import faulthandler
 import pathlib
+
+import pytest
 
 from stringchar import BoundIceQuiver
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
+@pytest.fixture(autouse=True)
+def hang_guard():
+    """A test that does not end within 10 s, such as a division that never
+    terminates, stops the run with exit status 1 instead of hanging it;
+    the tracebacks of all threads go to stderr (shown under `pytest -s`)."""
+    faulthandler.dump_traceback_later(10, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
+
 def load(name):
     """Load a fixture quiver by basename."""
     return BoundIceQuiver.from_file(FIXTURES / f"{name}.quiver")
+
+
+def caret_quiver():
+    """Vertices u, p^q and p, with arrows r: u -> p^q and q^r: u -> p.
+    Blow-up pendants named {target}^{arrow};{k} collided here."""
+    return BoundIceQuiver(["u", "p^q", "p"],
+                          [("r", "u", "p^q"), ("q^r", "u", "p")])

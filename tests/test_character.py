@@ -1,13 +1,18 @@
 """String diagrams, Grassmannian submodule counts, cluster characters,
 principal-coefficient characters and separation."""
 
+import collections
+import random
+
 import pytest
 
 from stringchar import BoundIceQuiver, K0IllDefined, LaurentPoly, \
-    NotSubtractionFree, PathLimitExceeded, QuiverError, StringDiagram, \
-    UnfrozenViolation, Walk, cluster_character, enumerate_strings, gr_euler, \
+    NotSubtractionFree, PathLimitExceeded, QuiverError, StringCharError, \
+    StringDiagram, UnfrozenViolation, Walk, cluster_character, \
+    ensure_string, enumerate_strings, gr_euler, hereditary_euler, \
     normalisation_vector, pp_character, pp_variable_map, \
-    principal_extension, separate, total_gr_euler, w_monomial, walk_laurent
+    principal_extension, separate, simple_pairings, total_gr_euler, \
+    w_monomial, walk_laurent
 
 from conftest import FIXTURES, load
 
@@ -48,6 +53,22 @@ def _mask_counts(diagram):
     return counts
 
 
+def _weighted_counts(counts, weight):
+    """Oracle: the sum over the dimension vectors e of counts[e] times the
+    product over v of weight[v]^e_v, each weight a (coeff, exponents)
+    monomial."""
+    total = LaurentPoly.zero()
+    for key, count in counts.items():
+        exps = collections.Counter()
+        for v, d in key:
+            coeff, v_exps = weight[v]
+            count *= coeff ** d
+            for u, k in v_exps.items():
+                exps[u] += d * k
+        total = total + LaurentPoly.monomial(count, exps)
+    return total
+
+
 def test_closed_subsets_of_a_single_arrow():
     q = load("a2")
     diagram = StringDiagram(Walk.parse(q, "alpha"))
@@ -58,12 +79,20 @@ def test_closed_subsets_of_a_single_arrow():
 
 
 def test_submodule_counts_match_the_mask_oracle():
+    # the label variables, and seeded random monomials as weights
+    rng = random.Random(8)
     for path in sorted(FIXTURES.glob("*.quiver")):
         q = load(path.stem)
+        weight = {v: (rng.randint(1, 3),
+                      {u: rng.randint(-2, 2) for u in q.vertices})
+                  for v in q.vertices}
+        monomials = {v: LaurentPoly.monomial(*w) for v, w in weight.items()}
         for c in enumerate_strings(q, 7):
             diagram = StringDiagram(c)
-            assert diagram.submodule_counts() == _mask_counts(diagram), \
-                f"{path.stem}: {c}"
+            counts = _mask_counts(diagram)
+            assert diagram.submodule_counts() == counts, f"{path.stem}: {c}"
+            assert diagram.transfer(monomials) == \
+                _weighted_counts(counts, weight), f"{path.stem}: {c}"
 
 
 def test_gr_euler_values():
@@ -157,6 +186,105 @@ def test_pp_character_equals_extension_character():
         for c in enumerate_strings(q, 6):
             assert pp_character(q, c) == \
                 cluster_character(ext, c.on(ext)), str(c)
+
+
+# -- the per-term oracle of both characters --------------------------------------
+
+def _per_term(c, exponents):
+    """Oracle: the sum of count * x^exponents(e) over the submodule
+    dimension vectors e of the string module of c, from the mask scan."""
+    result = LaurentPoly.zero()
+    for key, count in _mask_counts(StringDiagram(c)).items():
+        result = result + LaurentPoly.monomial(count, exponents(dict(key)))
+    return result
+
+
+def _per_term_character(q, c):
+    """Oracle: the cluster character with the exponents of each submodule
+    computed on their own, the pairings between simples read off a b_entry
+    table.  It raises the errors of `cluster_character`, in its order."""
+    if q.has_loops_or_two_cycles():
+        raise QuiverError("a loop or a 2-cycle")
+    ensure_string(q, c)
+    c = c.on(q)
+    dims = collections.Counter(c.vertices)
+    if dims.keys() & q.frozen:
+        raise UnfrozenViolation("frozen support")
+    anti = {(i, j): -q.b_entry(i, j) for i in q.vertices for j in q.vertices}
+    pair_m, back = simple_pairings(q, c)
+    for i in q.vertices:
+        if pair_m[i] - back[i] != sum(d * anti[i, j]
+                                      for j, d in dims.items()):
+            raise K0IllDefined(f"simple at {i!r}")
+    return _per_term(c, lambda e: {
+        i: sum(d * anti[i, j] for j, d in e.items()) - pair_m[i]
+        for i in q.vertices})
+
+
+def _per_term_pp(q, euler, c):
+    """Oracle: the principal-coefficient character with the exponents of
+    each submodule e taken from the hereditary Euler form, bilinear with
+    the values `euler` on simples: -<e, S_i> - <S_i, dim M - e> at x_i,
+    and the rest at x_i'."""
+    dims = collections.Counter(c.vertices)
+
+    def exponents(e):
+        rest = {v: dims[v] - e.get(v, 0) for v in q.vertices}
+        exps = {}
+        for i in q.vertices:
+            exps[i] = -sum(e.get(j, 0) * euler[j, i] + euler[i, j] * rest[j]
+                           for j in q.vertices)
+            if rest[i]:
+                exps[f"{i}'"] = rest[i]
+        return exps
+
+    return _per_term(c, exponents)
+
+
+def _outcome(character, q, c):
+    """The character, or the error type with the vertex a K0IllDefined
+    names."""
+    try:
+        return character(q, c)
+    except K0IllDefined as exc:
+        return K0IllDefined, str(exc).split("simple at ")[1].split()[0]
+    except StringCharError as exc:
+        return type(exc)
+
+
+def test_cluster_character_matches_the_per_term_oracle():
+    a3 = [("a", "1", "2"), ("b", "2", "3")]
+    quivers = [load(path.stem) for path in sorted(FIXTURES.glob("*.quiver"))]
+    quivers += [
+        # K0IllDefined at 3
+        BoundIceQuiver(["1", "2", "3"], a3, relations=[("a", "b")]),
+        # an infinite-dimensional path algebra
+        BoundIceQuiver(["1", "2", "3"], a3 + [("c", "3", "1")]),
+        # a 2-cycle
+        BoundIceQuiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")],
+                       relations=[("a", "b"), ("b", "a")]),
+        # frozen neighbours on both sides
+        BoundIceQuiver(["0", "1", "2", "3"],
+                       a3 + [("f", "0", "1"), ("g", "3", "0"),
+                             ("h", "0", "2")],
+                       frozen=["0"], relations=[("f", "a"), ("b", "g")]),
+    ]
+    for q in quivers:
+        for c in enumerate_strings(q, 5):
+            assert _outcome(cluster_character, q, c) == \
+                _outcome(_per_term_character, q, c), str(c)
+
+
+def test_pp_character_matches_the_per_term_oracle():
+    for path in sorted(FIXTURES.glob("*.quiver")):
+        q = load(path.stem)
+        if q.relations or q.frozen or not q.is_acyclic():
+            continue
+        euler = {(i, j): hereditary_euler(q, {i: 1}, {j: 1})
+                 for i in q.vertices for j in q.vertices}
+        for c in enumerate_strings(q, 6):
+            assert pp_character(q, c) == _per_term_pp(q, euler, c), \
+                f"{path.stem}: {c}"
 
 
 # -- separation -------------------------------------------------------------------------

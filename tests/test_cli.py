@@ -59,10 +59,13 @@ def test_chi_total_and_dimvec(capsys):
 
 
 def test_chi_bad_dimvec(capsys):
-    code, _, err = run(capsys, "chi", fixture("a2ice"), "--string", "alpha",
-                       "--dimvec", "nonsense")
-    assert code == 2
-    assert "parse error" in err
+    for dimvec, named in (("nonsense", "'nonsense'"), ("9=1", "'9'"),
+                          ("1=-1", "-1"), ("2=1,9=0", "'9'"),
+                          ("1=1,1=0", "'1'")):
+        code, out, err = run(capsys, "chi", fixture("a2ice"), "--string",
+                             "alpha", "--dimvec", dimvec)
+        assert (code, out) == (2, ""), dimvec
+        assert "parse error" in err and named in err, dimvec
 
 
 def test_normalise(capsys):
@@ -123,6 +126,14 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "lpoly", fixture("a2"), "--walk", "nosuch")
     assert code == 2
     assert "parse error" in err
+    # a negative depth or length is refused, not run as 0
+    for argv in (("verify", fixture("a2ice"), "--max-length", "-1"),
+                 ("enumerate", fixture("a2"), "--depth", "-3"),
+                 ("match", fixture("a2ice"), "--string", "e(1)",
+                  "--depth", "-1")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "parse error" in err and argv[-1] in err, argv
 
 
 def test_domain_error_exit_code(capsys, tmp_path):

@@ -15,7 +15,7 @@ from stringchar import BoundIceQuiver, PathBasis, PathLimitExceeded, \
     projective, simple, simple_pairings, string_module
 from stringchar.homalg import euler_form, projective_cover_data
 
-from conftest import FIXTURES, load
+from conftest import FIXTURES, caret_quiver, load
 
 
 def fixture_quivers():
@@ -387,6 +387,7 @@ def _pairing_quivers():
                        frozen=["0", "4"],
                        relations=[("f", "a"), ("a", "h"), ("h", "f"),
                                   ("b", "g"), ("g", "k"), ("k", "b")]),
+        caret_quiver(),
     ]
 
 

@@ -8,7 +8,7 @@ from stringchar import BoundIceQuiver, InputParseError, InvalidStringError, \
     closure_and_border, enumerate_strings, ensure_string, is_valid_string, \
     principal_extension, pushforward, simple, string_module, validate_string
 
-from conftest import load
+from conftest import caret_quiver, load
 
 
 # -- parsing ----------------------------------------------------------------
@@ -309,12 +309,11 @@ def test_blow_up_structure_doublearrow():
 def test_blow_up_three_vertex_cycle():
     q = load("a2ice")
     qtilde, phi, mtilde = blow_up(q, Walk.parse(q, "alpha"))
-    assert sorted(qtilde.vertices) == \
-        ["3^beta;2", "3^gamma;1", "v1", "v2"]
-    assert qtilde.frozen == frozenset({"3^beta;2", "3^gamma;1"})
+    assert sorted(qtilde.vertices) == ["beta@v2", "gamma@v1", "v1", "v2"]
+    assert qtilde.frozen == frozenset({"beta@v2", "gamma@v1"})
     assert phi.vertex_map == {"v1": "1", "v2": "2",
-                              "3^gamma;1": "3", "3^beta;2": "3"}
-    assert phi.vertex_preimages("3") == ["3^beta;2", "3^gamma;1"]
+                              "gamma@v1": "3", "beta@v2": "3"}
+    assert phi.vertex_preimages("3") == ["beta@v2", "gamma@v1"]
 
 
 def test_blow_up_of_a_loop_has_distinct_pendants():
@@ -322,8 +321,15 @@ def test_blow_up_of_a_loop_has_distinct_pendants():
     q = BoundIceQuiver(["1", "2"], [("a", "1", "1"), ("b", "1", "2")],
                        relations=[("a", "a")])
     qtilde, phi, _mtilde = blow_up(q, Walk.parse(q, "b"))
-    assert qtilde.frozen == {"1^a;1", "1^a;1'"}
+    assert qtilde.frozen == {"a@v1", "a@v1'"}
     assert {phi.vertex_map[v] for v in qtilde.frozen} == {"1"}
+
+
+def test_blow_up_pendant_names_do_not_collide():
+    q = caret_quiver()
+    qtilde, phi, _mtilde = blow_up(q, Walk.parse(q, "e(u)"))
+    assert qtilde.frozen == {"r@v1", "q^r@v1"}
+    assert phi.vertex_map == {"v1": "u", "r@v1": "p^q", "q^r@v1": "p"}
 
 
 def test_blow_up_pushforward_round_trip():
