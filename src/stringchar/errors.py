@@ -11,7 +11,8 @@ class StringCharError(Exception):
 
 
 class InputParseError(StringCharError):
-    """A quiver file or walk expression could not be parsed.
+    """A quiver file could not be read or parsed, or a walk expression
+    could not be parsed.
 
     Carries the line (1-based) and column (1-based) where the problem was
     found, when known.

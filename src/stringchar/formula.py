@@ -1,6 +1,11 @@
 """Matrix-product formulas attached to walks: the Laurent polynomial L_c,
 its numerator content, the integer count l_c, frieze entries and the
-exchange-style identity checks."""
+exchange-style identity checks.
+
+The numerator N_c of L_c is the bracket [1,1] M [1;1] of a product M of
+2x2 step and vertex matrices.  `walk_numerator` evaluates it as a row
+vector carried along the walk, with a few monomial products per step;
+`walk_matrix` forms the full product and is kept as its oracle."""
 
 from __future__ import annotations
 
@@ -18,27 +23,38 @@ def step_matrix(q, step):
     return Mat2(xt, 1, 0, xs)
 
 
+def _vertex_exponents(q, c, i):
+    """Exponents of the diagonal entries (top, bottom) of V_c(i), as
+    {vertex: exponent} dicts.  Every arrow incident to v_i contributes
+    (top: x of its target for an arrow out of v_i; bottom: x of its source
+    for an arrow into v_i), except the arrows of the steps i-1 and i."""
+    v = c.vertices[i - 1]
+    excluded = (c.step_arrow(i - 1), c.step_arrow(i))
+    top, bottom = {}, {}
+    for arrow in q.arrows_from(v):
+        if arrow.name not in excluded:
+            top[arrow.target] = top.get(arrow.target, 0) + 1
+    for arrow in q.arrows_to(v):
+        if arrow.name not in excluded:
+            bottom[arrow.source] = bottom.get(arrow.source, 0) + 1
+    return top, bottom
+
+
 def vertex_matrix(q, c, i):
     """Diagonal contribution of the i-th walk vertex (1-based i in
     1..length+1).  Arrows used by the walk at positions i-1 and i are
     excluded; everything else incident to v_i contributes."""
     if not 1 <= i <= c.length + 1:
         raise QuiverError(f"vertex index {i} out of range 1..{c.length + 1}")
-    v = c.vertices[i - 1]
-    excluded = {c.step_arrow(i - 1), c.step_arrow(i)}
-    top = LaurentPoly.one()
-    for arrow in q.arrows_from(v):
-        if arrow.name not in excluded:
-            top = top * LaurentPoly.var(arrow.target)
-    bottom = LaurentPoly.one()
-    for arrow in q.arrows_to(v):
-        if arrow.name not in excluded:
-            bottom = bottom * LaurentPoly.var(arrow.source)
-    return Mat2.diagonal(top, bottom)
+    top, bottom = _vertex_exponents(q, c, i)
+    return Mat2.diagonal(LaurentPoly.monomial(1, top),
+                         LaurentPoly.monomial(1, bottom))
 
 
 def walk_matrix(q, c):
-    """The full 2x2 product V_c(1) A(c_1) V_c(2) ... A(c_n) V_c(n+1)."""
+    """The full 2x2 product V_c(1) A(c_1) V_c(2) ... A(c_n) V_c(n+1).  Its
+    bracket is N_c; `walk_numerator` computes that without the matrix, and
+    the tests use this product as its oracle."""
     if c.quiver is not q:
         c = c.on(q)
     product = vertex_matrix(q, c, 1)
@@ -48,8 +64,33 @@ def walk_matrix(q, c):
 
 
 def walk_numerator(q, c):
-    """N_c: the bracket of the full matrix product."""
-    return walk_matrix(q, c).bracket()
+    """N_c = [1,1] V_c(1) A(c_1) V_c(2) ... A(c_n) V_c(n+1) [1;1].
+
+    The bracket is evaluated as a row vector (l, r) carried along the walk,
+    starting from [1,1] V_c(1) = (top_1, bottom_1).  With x_s, x_t the
+    variables of the step's arrow and top, bottom the entries of the next
+    vertex matrix, a forward step maps (l, r) to
+    (l x_t top + r top, r x_s bottom) and an inverse step to
+    (l x_t top, l bottom + r x_s bottom).  N_c is l + r at the end.
+    """
+    if c.quiver is not q:
+        c = c.on(q)
+    monomial = LaurentPoly.monomial
+    top, bottom = _vertex_exponents(q, c, 1)
+    left, right = monomial(1, top), monomial(1, bottom)
+    for i, step in enumerate(c.steps, start=2):
+        arrow = q.arrow(step.arrow)
+        s, t = arrow.source, arrow.target
+        top, bottom = _vertex_exponents(q, c, i)
+        xt_top = monomial(1, {**top, t: top.get(t, 0) + 1})
+        xs_bottom = monomial(1, {**bottom, s: bottom.get(s, 0) + 1})
+        if step.forward:
+            left, right = (left * xt_top + right * monomial(1, top),
+                           right * xs_bottom)
+        else:
+            left, right = (left * xt_top,
+                           left * monomial(1, bottom) + right * xs_bottom)
+    return left + right
 
 
 def walk_denominator(q, c):

@@ -139,7 +139,9 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c):
-        return cls({0: int(c)}, 0) if c else cls.zero()
+        """The constant c, an int: a float or Fraction raises TypeError."""
+        c = operator.index(c)
+        return cls({0: c}, 0) if c else cls.zero()
 
     @classmethod
     def one(cls):
@@ -151,10 +153,12 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, coeff, exponents):
+        """coeff * x^exponents; coeff and the exponents are ints."""
+        coeff = operator.index(coeff)
         key, bound = _pack(exponents)
         if coeff == 0:
             return cls.zero()
-        return cls({key: int(coeff)}, bound)
+        return cls({key: coeff}, bound)
 
     # -- basic structure ---------------------------------------------------
 
@@ -243,10 +247,19 @@ class LaurentPoly:
             return NotImplemented
         bound = self.bound + other.bound
         _check_limit(bound, "the product")
+        a, b = self.terms, other.terms
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # the keys stay distinct and a product of nonzero ints is
+            # nonzero, so no two terms merge and none cancels
+            (k2, c2), = b.items()
+            return LaurentPoly({k1 + k2: c1 * c2 for k1, c1 in a.items()},
+                               bound)
         terms = {}
         get = terms.get
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
                 key = k1 + k2
                 terms[key] = get(key, 0) + c1 * c2
         return LaurentPoly({k: c for k, c in terms.items() if c}, bound)

@@ -192,8 +192,20 @@ class BoundIceQuiver:
 
     @classmethod
     def from_file(cls, path):
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_text(handle.read())
+        """Parse the quiver file at path; a file that cannot be read as
+        UTF-8 text raises InputParseError naming the path and the reason."""
+        try:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise InputParseError(
+                f"cannot read quiver file {str(path)!r}: "
+                f"{exc.strerror or exc}") from None
+        except UnicodeDecodeError as exc:
+            raise InputParseError(
+                f"quiver file {str(path)!r} is not UTF-8 text: byte "
+                f"{exc.start} ({exc.reason})") from None
+        return cls.from_text(text)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from stringchar.cli import main
 
 from conftest import FIXTURES
@@ -187,6 +185,15 @@ def test_string_commands_build_no_representation(capsys, monkeypatch):
         assert run(capsys, *argv) == (code, out, ""), argv
 
 
-def test_missing_file_is_a_hard_error():
-    with pytest.raises(OSError):
-        main(["lpoly", "/no/such/file.quiver", "--walk", "e(1)"])
+def test_missing_file_is_a_hard_error(capsys, tmp_path):
+    # a missing file, a directory and a file that is not UTF-8 text are
+    # parse errors (exit 2) that name the path, not tracebacks
+    undecodable = tmp_path / "latin1.quiver"
+    undecodable.write_bytes("vertex \xe9\n".encode("latin-1"))
+    for path, reason in ((tmp_path / "no-such.quiver", "No such file"),
+                         (tmp_path, "Is a directory"),
+                         (undecodable, "not UTF-8")):
+        code, out, err = run(capsys, "lpoly", str(path), "--walk", "e(1)")
+        assert (code, out) == (2, ""), path
+        assert err.startswith("parse error: ") and repr(str(path)) in err
+        assert reason in err, err

@@ -3,14 +3,15 @@ exchange-style identity checks."""
 
 import pytest
 
-from stringchar import LaurentPoly, Mat2, QuiverError, Walk, \
-    check_identity, coefficient_monomial, enumerate_strings, frieze_entry, \
-    numerator_normalisation, pp_character, principal_extension, step_matrix, \
-    string_module, vertex_matrix, w_monomial, walk_count, walk_denominator, \
-    walk_laurent, walk_matrix, walk_numerator
+from stringchar import BoundIceQuiver, LaurentPoly, Mat2, QuiverError, \
+    Walk, check_identity, coefficient_monomial, enumerate_strings, \
+    frieze_entry, numerator_normalisation, pp_character, \
+    principal_extension, step_matrix, string_module, vertex_matrix, \
+    w_monomial, walk_count, walk_denominator, walk_laurent, walk_matrix, \
+    walk_numerator
 from stringchar.quiver import Step
 
-from conftest import load
+from conftest import FIXTURES, caret_quiver, load
 
 
 def var(v, power=1):
@@ -83,6 +84,60 @@ def test_walk_laurent_positive():
             f = walk_laurent(q, c)
             assert f.is_nonnegative()
             assert not f.is_zero()
+
+
+def _oracle_walks():
+    """(quiver, walk) pairs for the row-vector oracle: every fixture string
+    of length <= 5, walks `lpoly` takes that are not strings, walks through
+    a loop, and the caret quiver's walks."""
+    for path in sorted(FIXTURES.glob("*.quiver")):
+        q = BoundIceQuiver.from_file(path)
+        for c in enumerate_strings(q, 5):
+            yield q, c
+    for name, text in (("kronecker3", "al1 al1^-1"),
+                       ("kronecker3", "al1^-1 al2 al3^-1 al1"),
+                       ("a11", "alpha alpha^-1")):
+        q = load(name)
+        yield q, Walk.parse(q, text)
+    loop = BoundIceQuiver(["1", "2"], [("a", "1", "1"), ("b", "1", "2")],
+                          relations=[("a", "a")])
+    caret = caret_quiver()
+    for q, texts in ((loop, ("e(1)", "a", "a^-1", "a b", "b^-1 a",
+                             "a^-1 b", "a a", "b^-1 a b")),
+                     (caret, ("e(u)", "e(p^q)", "r", "r^-1 q^r",
+                              "q^r^-1 r"))):
+        for text in texts:
+            yield q, Walk.parse(q, text)
+
+
+def _vertex_matrix_by_definition(q, c, i):
+    """V_c(i) as products of variables, written apart from the exclusion
+    helper that the row vector and `vertex_matrix` share."""
+    used = {c.step_arrow(i - 1), c.step_arrow(i)}
+    v = c.vertices[i - 1]
+    top = bottom = LaurentPoly.one()
+    for arrow in q.arrows_from(v):
+        if arrow.name not in used:
+            top = top * var(arrow.target)
+    for arrow in q.arrows_to(v):
+        if arrow.name not in used:
+            bottom = bottom * var(arrow.source)
+    return Mat2.diagonal(top, bottom)
+
+
+def test_row_vector_matches_the_matrix_product():
+    count = 0
+    for q, c in _oracle_walks():
+        for i in range(1, c.length + 2):
+            assert vertex_matrix(q, c, i) == \
+                _vertex_matrix_by_definition(q, c, i), (c, i)
+        bracket = walk_matrix(q, c).bracket()
+        assert walk_numerator(q, c) == bracket, c
+        denominator = {v: -e for v, e in walk_denominator(q, c).items()}
+        assert walk_laurent(q, c) == \
+            bracket * LaurentPoly.monomial(1, denominator), c
+        count += 1
+    assert count > 1000
 
 
 def test_walk_matrix_determinant_is_a_monomial():

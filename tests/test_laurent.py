@@ -3,6 +3,7 @@ Laurent polynomial layer."""
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -28,6 +29,60 @@ def test_constructors():
     assert LaurentPoly.monomial(0, {"a": 2}).is_zero()
     assert LaurentPoly.var("a").coefficient({"a": 1}) == 1
     assert LaurentPoly.var("a").coefficient({"a": 2}) == 0
+
+
+def test_coefficients_are_exact_integers():
+    x = LaurentPoly.var("x")
+    for bad in (0.5, 2.7, 1.0, Fraction(1, 2), Fraction(2)):
+        with pytest.raises(TypeError):
+            LaurentPoly.const(bad)
+        with pytest.raises(TypeError):
+            LaurentPoly.monomial(bad, {"x": 1})
+        with pytest.raises(TypeError):
+            LaurentPoly.from_json_obj([{"coeff": bad,
+                                        "exponents": {"x": 1}}])
+        with pytest.raises(TypeError):
+            Mat2(bad, 0, 0, 1)
+    assert LaurentPoly.const(0) == LaurentPoly.zero()
+    assert LaurentPoly.const(0).text() == "0"
+    assert LaurentPoly.monomial(0, {"x": 1}) == LaurentPoly.zero()
+    assert LaurentPoly.const(-3).text() == "-3"
+    assert LaurentPoly.from_json_obj([{"coeff": -2, "exponents": {"x": 1}}]) \
+        == -2 * x
+
+
+def test_single_term_product_is_the_convolution():
+    def convolution(f, g):
+        terms = {}
+        for k1, c1 in f.terms.items():
+            for k2, c2 in g.terms.items():
+                terms[k1 + k2] = terms.get(k1 + k2, 0) + c1 * c2
+        return {k: c for k, c in terms.items() if c}
+
+    rng = random.Random(20261018)
+    singles = [LaurentPoly.const(-4), LaurentPoly.const(1),
+               LaurentPoly.monomial(-3, {"x0": 2, "x2": -1}),
+               LaurentPoly.monomial(7, {"x1": -3})]
+    others = [LaurentPoly.zero(), LaurentPoly.const(-2),
+              LaurentPoly.var("x1") - 5 * LaurentPoly.var("x0", -2)]
+    others += [random_poly(rng) for _ in range(30)]
+    for one in singles:
+        for f in others:
+            for product, (a, b) in ((one * f, (one, f)),
+                                    (f * one, (f, one))):
+                assert product.terms == convolution(a, b)
+                assert product.bound == a.bound + b.bound
+    # the bound is checked before the fast path reads a single term
+    class Unread(dict):
+        def items(self):
+            raise AssertionError("terms read before the bound check")
+
+    top = LaurentPoly.var("x", EXPONENT_LIMIT)
+    unread = LaurentPoly(Unread(top.terms), top.bound)
+    x = LaurentPoly.var("x")
+    for f, g in ((unread, x), (x, unread), (unread, x + 1), (x + 1, unread)):
+        with pytest.raises(ExponentOverflow):
+            f * g
 
 
 def test_ring_axioms_randomised():
