@@ -71,6 +71,12 @@ def total_gr_euler(c):
 def cluster_character(q, c):
     """The cluster character of the string module of c over the ice quiver
     q, as a Laurent polynomial in the variables of all vertices of q."""
+    return _character_and_pairings(q, c)[0]
+
+
+def _character_and_pairings(q, c):
+    """cluster_character(q, c) and the pairings {i: <S_i,M>} it reads off
+    the string, which the normalising vector needs too."""
     if q.has_loops_or_two_cycles():
         raise QuiverError("cluster characters need a loop- and 2-cycle-free "
                           "quiver")
@@ -104,7 +110,7 @@ def cluster_character(q, c):
                 f"the anti-symmetrised pairing with the simple at {i!r} "
                 f"does not descend to the dimension vector of {c}")
     return StringDiagram(c).transfer(weight) * LaurentPoly.monomial(
-        1, {i: -pair_m[i] for i in q.vertices})
+        1, {i: -pair_m[i] for i in q.vertices}), pair_m
 
 
 def pp_character(q, c):

@@ -155,8 +155,10 @@ def _run(args):
 def _verify(q, max_length):
     failures = 0
     for c in enumerate_strings(q, max_length, unfrozen_only=True):
-        x_char = character.cluster_character(q, c)
-        vector = homalg.normalisation_vector(q, c)
+        # the character and the normalising vector share one pairing of the
+        # string with the simples
+        x_char, pairings = character._character_and_pairings(q, c)
+        vector = homalg._normalisation_vector(q, c, pairings)
         lhs = x_char * LaurentPoly.monomial(1, vector)
         rhs = formula.walk_laurent(q, c)
         status = "PASS" if lhs == rhs else "FAIL"

@@ -347,7 +347,12 @@ def normalisation_vector(q, c):
 
     No blow-up is built.
     """
-    forward, _backward = simple_pairings(q, c)
+    return _normalisation_vector(q, c, simple_pairings(q, c)[0])
+
+
+def _normalisation_vector(q, c, forward):
+    """normalisation_vector(q, c) from the pairings forward = {i: <S_i,M>}
+    of `simple_pairings`."""
     if c.quiver is not q:
         c = c.on(q)
     support = set(c.vertices)

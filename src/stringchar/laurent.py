@@ -282,8 +282,25 @@ class LaurentPoly:
                 result = result * base
             n >>= 1
             if n:
-                base = base * base
+                base = base._square()
         return result
+
+    def _square(self):
+        """self * self from each unordered pair of terms once: c_i^2 at
+        2 k_i and 2 c_i c_j at k_i + k_j for i < j."""
+        bound = 2 * self.bound
+        _check_limit(bound, "the product")
+        items = list(self.terms.items())
+        terms = {}
+        get = terms.get
+        for i, (k1, c1) in enumerate(items):
+            key = k1 + k1
+            terms[key] = get(key, 0) + c1 * c1
+            c1 += c1
+            for k2, c2 in items[i + 1:]:
+                key = k1 + k2
+                terms[key] = get(key, 0) + c1 * c2
+        return LaurentPoly({k: c for k, c in terms.items() if c}, bound)
 
     def __eq__(self, other):
         other = self._coerce(other)

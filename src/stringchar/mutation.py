@@ -18,8 +18,6 @@ class Seed:
     def __init__(self, vertices, unfrozen, b, cluster):
         self.vertices = tuple(vertices)
         self.unfrozen = tuple(unfrozen)
-        # rows in vertex order, columns in unfrozen order: key() reads the
-        # matrix off the values, and mutation keeps the order
         self.b = {(i, j): b[i, j] for i in self.vertices
                   for j in self.unfrozen}
         self.cluster = dict(cluster)
@@ -38,8 +36,8 @@ class Seed:
         keeps the unfrozen part skew-symmetric, so it is not checked.
 
         `mutate` builds seeds here rather than through `__init__`, whose
-        copy of b and skew-symmetry check take about 40% of the time of
-        enumerating a4dec to depth 10 (3,260 seeds of 12 x 4 entries)."""
+        copy of b and skew-symmetry check would be repeated for each of the
+        127 seeds (12 x 4 entries) of enumerating a4dec to depth 10."""
         seed = object.__new__(type(self))
         seed.vertices, seed.unfrozen, seed.frozen_variables = \
             self.vertices, self.unfrozen, self.frozen_variables
@@ -47,8 +45,20 @@ class Seed:
         return seed
 
     def key(self):
-        # the cluster variables of a seed are distinct
-        return frozenset(self.cluster.values()), tuple(self.b.values())
+        """The seed up to a permutation of its unfrozen labels.
+
+        Each unfrozen row and column is named by its cluster variable and
+        each frozen row by its vertex id, and the key is the set of cluster
+        variables with the set of (row name, column name, b_ij) over the
+        nonzero entries.  The cluster variables of a seed are distinct, so
+        the names are, and two seeds of the same vertices have equal keys
+        exactly when a permutation of the unfrozen labels carries one to
+        the other: the exchange graph's notion of the same seed
+        (Fomin-Zelevinsky, Cluster algebras I and IV)."""
+        values = self.cluster
+        return frozenset(values.values()), frozenset(
+            (values.get(i, i), values[j], bij)
+            for (i, j), bij in self.b.items() if bij)
 
     def __eq__(self, other):
         if not isinstance(other, Seed):
@@ -125,8 +135,20 @@ def _exchange(x_k, inputs):
 
 def enumerate_cluster_variables(seed, max_depth):
     """All cluster variables reachable from the seed by at most max_depth
-    mutations, sorted by canonical text.  Each distinct exchange is
-    computed once per call."""
+    mutations, sorted by canonical text.
+
+    The breadth-first search visits each seed once up to relabelling
+    (`Seed.key`).  That prunes nothing it must reach: mutation commutes
+    with a permutation of the unfrozen labels, so the seeds a relabelled
+    copy reaches within d more mutations are relabelled copies of those the
+    first visit reaches, with the same cluster variables.  Each distinct
+    exchange is computed once per call."""
+    return sorted(_reachable_variables(seed, max_depth),
+                  key=lambda f: f.text())
+
+
+def _reachable_variables(seed, max_depth):
+    """The set of cluster variables within max_depth mutations of seed."""
     seen_seeds = {seed.key()}
     variables = {seed.cluster[j] for j in seed.unfrozen}
     exchanges = {}
@@ -149,10 +171,10 @@ def enumerate_cluster_variables(seed, max_depth):
         frontier = next_frontier
         if not frontier:
             break
-    return sorted(variables, key=lambda f: f.text())
+    return variables
 
 
 def match_character(seed, f, max_depth):
-    """True iff f occurs among the cluster variables enumerated up to
-    max_depth."""
-    return any(f == g for g in enumerate_cluster_variables(seed, max_depth))
+    """True iff the Laurent polynomial f occurs among the cluster variables
+    enumerated up to max_depth."""
+    return f in _reachable_variables(seed, max_depth)

@@ -2,6 +2,7 @@
 
 import json
 
+from stringchar import homalg
 from stringchar.cli import main
 
 from conftest import FIXTURES
@@ -183,6 +184,29 @@ def test_string_commands_build_no_representation(capsys, monkeypatch):
     for argv, (code, out, _err) in zip(calls, expected):
         assert code == 0
         assert run(capsys, *argv) == (code, out, ""), argv
+
+
+def test_verify_pairs_each_string_with_the_simples_once(capsys,
+                                                       monkeypatch):
+    calls = []
+    pairings = homalg.simple_pairings
+
+    def counting_pairings(q, c):
+        calls.append(str(c))
+        return pairings(q, c)
+
+    for site in ("homalg", "character"):
+        monkeypatch.setattr(f"stringchar.{site}.simple_pairings",
+                            counting_pairings)
+    for name in ("dcyclic5", "diamond5", "a4dec"):
+        calls.clear()
+        code, out, _err = run(capsys, "verify", fixture(name),
+                              "--max-length", "4")
+        assert code == 0
+        checked = [line.split(None, 1)[1] for line in out.splitlines()
+                   if line.startswith("PASS")]
+        assert len(checked) > 5
+        assert calls == checked, name
 
 
 def test_missing_file_is_a_hard_error(capsys, tmp_path):

@@ -51,14 +51,22 @@ def test_coefficients_are_exact_integers():
         == -2 * x
 
 
-def test_single_term_product_is_the_convolution():
-    def convolution(f, g):
-        terms = {}
-        for k1, c1 in f.terms.items():
-            for k2, c2 in g.terms.items():
-                terms[k1 + k2] = terms.get(k1 + k2, 0) + c1 * c2
-        return {k: c for k, c in terms.items() if c}
+class _Unread(dict):
+    """Terms that fail the test when read."""
 
+    def items(self):
+        raise AssertionError("terms read before the bound check")
+
+
+def _convolution(f, g):
+    terms = {}
+    for k1, c1 in f.terms.items():
+        for k2, c2 in g.terms.items():
+            terms[k1 + k2] = terms.get(k1 + k2, 0) + c1 * c2
+    return {k: c for k, c in terms.items() if c}
+
+
+def test_single_term_product_is_the_convolution():
     rng = random.Random(20261018)
     singles = [LaurentPoly.const(-4), LaurentPoly.const(1),
                LaurentPoly.monomial(-3, {"x0": 2, "x2": -1}),
@@ -70,15 +78,11 @@ def test_single_term_product_is_the_convolution():
         for f in others:
             for product, (a, b) in ((one * f, (one, f)),
                                     (f * one, (f, one))):
-                assert product.terms == convolution(a, b)
+                assert product.terms == _convolution(a, b)
                 assert product.bound == a.bound + b.bound
     # the bound is checked before the fast path reads a single term
-    class Unread(dict):
-        def items(self):
-            raise AssertionError("terms read before the bound check")
-
     top = LaurentPoly.var("x", EXPONENT_LIMIT)
-    unread = LaurentPoly(Unread(top.terms), top.bound)
+    unread = LaurentPoly(_Unread(top.terms), top.bound)
     x = LaurentPoly.var("x")
     for f, g in ((unread, x), (x, unread), (unread, x + 1), (x + 1, unread)):
         with pytest.raises(ExponentOverflow):
@@ -115,6 +119,15 @@ def test_powers():
     assert x ** -2 * x ** 2 == LaurentPoly.one()
     with pytest.raises(NotInvertible):
         f ** -1
+    x, y = LaurentPoly.var("x"), LaurentPoly.var("y")
+    rng = random.Random(20261020)
+    cases = [LaurentPoly.zero(), LaurentPoly.const(-2), x ** -3,
+             x - x ** -1, 2 * x * y - 3 + y ** -1]
+    for f in cases + [random_poly(rng) for _ in range(15)]:
+        product = LaurentPoly.one()
+        for n in range(6):
+            assert f ** n == product, (f, n)
+            product = product * f
 
 
 def test_power_squares_only_while_bits_remain(monkeypatch):
@@ -126,6 +139,14 @@ def test_power_squares_only_while_bits_remain(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+    # a square is one product too
+    square = LaurentPoly._square
+
+    def counting_square(self):
+        calls.append(1)
+        return square(self)
+
+    monkeypatch.setattr(LaurentPoly, "_square", counting_square)
     f = LaurentPoly.var("a") + 1
     powers = [LaurentPoly.one()]
     for _ in range(4):
@@ -134,6 +155,30 @@ def test_power_squares_only_while_bits_remain(monkeypatch):
         calls.clear()
         assert f ** n == powers[n]
         assert len(calls) == expected, n
+
+
+def test_square_is_the_convolution():
+    x, y = LaurentPoly.var("x"), LaurentPoly.var("y")
+    rng = random.Random(20261019)
+    cases = [LaurentPoly.zero(), LaurentPoly.const(-3), LaurentPoly.one(),
+             LaurentPoly.monomial(-2, {"x": 3, "y": -1}), x - x ** -1,
+             # 2^2 + 2 * 1 * (-2) = 0 at x^2: a term that cancels
+             1 + 2 * x - 2 * x ** 2, x * y - y * x ** -1 + 3 - 2 * y ** 2]
+    cases += [random_poly(rng, nterms=6) for _ in range(40)]
+    for f in cases:
+        square = f._square()
+        assert square.terms == _convolution(f, f), f
+        assert square.bound == 2 * f.bound
+    assert (1 + 2 * x - 2 * x ** 2)._square().coefficient({"x": 2}) == 0
+    assert (x - x ** -1) ** 2 == x ** 2 - 2 + x ** -2
+
+    # the bound is checked before the square reads a single term
+    top = LaurentPoly.var("x", EXPONENT_LIMIT // 2 + 1)
+    unread = LaurentPoly(_Unread(top.terms), top.bound)
+    for power in (lambda f: f._square(), lambda f: f ** 2,
+                  lambda f: f ** 4):
+        with pytest.raises(ExponentOverflow):
+            power(unread)
 
 
 def test_variables_are_strings():

@@ -83,6 +83,13 @@ def test_match_character():
         f = cluster_character(q, Walk.parse(q, text))
         assert match_character(seed, f, 6)
     assert not match_character(seed, var("1") + var("2"), 6)
+    seed = seed_from_ice_quiver(load("a3dec"))
+    variables = enumerate_cluster_variables(seed, 6)
+    for f in variables:
+        assert match_character(seed, f, 6)
+    for f in variables[:3]:
+        assert not match_character(seed, f + 1, 6)
+        assert not match_character(seed, -f, 6)
 
 
 def test_depth_zero_enumeration():
@@ -114,12 +121,19 @@ def test_matrix_mutation_matches_the_textbook_formula():
         assert mutate(seed, k).b == expected
 
 
+def _labelled_key(seed):
+    """The seed with its labels: a relabelled copy counts as another
+    seed."""
+    return frozenset(seed.cluster.items()), frozenset(seed.b.items())
+
+
 def _enumerate_by_mutation(seed, max_depth, exchanges=None):
-    """enumerate_cluster_variables as a plain breadth-first search: every
-    frontier seed is mutated at every unfrozen vertex, and without
-    `exchanges` every mutation computes its exchange polynomial afresh.
-    Returns (variables, mutations made, non-root seeds mutated)."""
-    seen = {seed.key()}
+    """enumerate_cluster_variables as a plain breadth-first search over
+    labelled seeds: every frontier seed is mutated at every unfrozen
+    vertex, and without `exchanges` every mutation computes its exchange
+    polynomial afresh.  Returns (variables, mutations made, non-root seeds
+    mutated)."""
+    seen = {_labelled_key(seed)}
     variables = set(seed.cluster.values())
     frontier = [seed]
     mutations = mutated_non_root = 0
@@ -131,8 +145,9 @@ def _enumerate_by_mutation(seed, max_depth, exchanges=None):
             for k in current.unfrozen:
                 mutations += 1
                 mutated = mutate(current, k, exchanges)
-                if mutated.key() not in seen:
-                    seen.add(mutated.key())
+                key = _labelled_key(mutated)
+                if key not in seen:
+                    seen.add(key)
                     variables.update(mutated.cluster.values())
                     next_frontier.append(mutated)
         frontier = next_frontier
@@ -165,7 +180,7 @@ def test_enumeration_computes_each_exchange_once(monkeypatch):
     variables = enumerate_cluster_variables(
         seed_from_ice_quiver(load("a4dec")), 10)
     assert len(variables) == 14
-    # 2,446 mutations, but only 70 distinct exchanges
+    # 127 mutations, but only 70 distinct exchanges
     assert len(calls) <= 70
 
 
@@ -185,3 +200,66 @@ def test_enumeration_skips_the_vertex_each_seed_came_from(monkeypatch):
     # gives back its parent, so each mutated non-root seed saves one call
     assert mutated_non_root > 0
     assert plain_calls - len(calls) >= mutated_non_root
+    # each of the 42 seeds of type A4 is mutated once up to relabelling,
+    # where the labelled search makes 3,260 mutations
+    assert len(calls) <= 130
+
+
+def test_enumeration_up_to_relabelling_matches_the_labelled_search():
+    cases = []
+    for path in sorted(FIXTURES.glob("*.quiver")):
+        try:
+            seed = seed_from_ice_quiver(load(path.stem))
+        except QuiverError:
+            continue
+        # depth 3 is test_exchange_memo_matches_plain_mutation's
+        cases += [(path.stem, seed, depth) for depth in (0, 1, 2, 4)]
+    assert len(cases) >= 40
+    cases += [(name, seed_from_ice_quiver(load(name)), depth)
+              for name, depth in (("a4dec", 10), ("dcyclic4", 8),
+                                  ("kronecker2", 12))]
+    for name, seed, depth in cases:
+        assert enumerate_cluster_variables(seed, depth) == \
+            _enumerate_by_mutation(seed, depth, {})[0], (name, depth)
+
+
+def _relabelled(seed, sigma):
+    """The seed with each unfrozen label j renamed sigma[j]."""
+    name = {i: sigma.get(i, i) for i in seed.vertices}
+    b = {(name[i], name[j]): bij for (i, j), bij in seed.b.items()}
+    cluster = {name[j]: f for j, f in seed.cluster.items()}
+    return Seed(seed.vertices, seed.unfrozen, b, cluster)
+
+
+def test_seed_key_forgets_the_unfrozen_labels_only():
+    seed = seed_from_ice_quiver(load("a4dec"))
+    for k in ("2", "3", "1"):
+        seed = mutate(seed, k)
+    rotate = {"1": "2", "2": "3", "3": "4", "4": "1"}
+    swap = {"1": "4", "4": "1"}
+    for sigma in (rotate, swap):
+        relabelled = _relabelled(seed, sigma)
+        assert relabelled != seed
+        assert relabelled.key() == seed.key()
+        assert _labelled_key(relabelled) != _labelled_key(seed)
+
+    def changed(entries):
+        b = dict(seed.b)
+        b.update(entries)
+        return Seed(seed.vertices, seed.unfrozen, b, seed.cluster)
+
+    assert changed({}).key() == seed.key()
+    # one frozen entry, and one skew-symmetric pair of unfrozen entries
+    assert changed({("y1", "2"): seed.b["y1", "2"] + 1}).key() != seed.key()
+    assert changed({("1", "3"): seed.b["1", "3"] + 1,
+                    ("3", "1"): seed.b["3", "1"] - 1}).key() != seed.key()
+    # a frozen row moved onto another frozen vertex, and two different
+    # frozen rows swapped
+    assert any(seed.b["y1", j] for j in seed.unfrozen)
+    moved = {("z4", j): seed.b["y1", j] for j in seed.unfrozen}
+    moved.update({("y1", j): 0 for j in seed.unfrozen})
+    assert changed(moved).key() != seed.key()
+    swapped = {("y1", j): seed.b["y2", j] for j in seed.unfrozen}
+    swapped.update({("y2", j): seed.b["y1", j] for j in seed.unfrozen})
+    assert swapped != {("y1", j): seed.b["y1", j] for j in seed.unfrozen}
+    assert changed(swapped).key() != seed.key()
