@@ -1,6 +1,6 @@
-"""Cluster characters of string modules, all from one weighted transfer
-product over the string diagram (`StringDiagram.transfer`), and the
-separation map.  The exponents of a submodule are pairings with the
+"""Cluster characters and submodule counts of string modules, all from one
+weighted transfer product over the string diagram
+(`StringDiagram.transfer`), and the separation map.  The exponents of a submodule are pairings with the
 simples, affine in its dimension vector (Palu 2008), so the character is
 the transfer product with each label j weighted by a fixed monomial w_j,
 times one monomial.  The principal-coefficient character is the character
@@ -12,7 +12,7 @@ import collections
 
 from .errors import K0IllDefined, NotSubtractionFree, QuiverError, \
     UnfrozenViolation
-from .homalg import simple_pairings
+from .homalg import _string_pass
 from .laurent import LaurentPoly
 from .quiver import ensure_string, principal_extension
 
@@ -31,12 +31,13 @@ class StringDiagram:
 
     def transfer(self, weight):
         """The sum, over the successor-closed position subsets S, of the
-        product of weight[label(k)] over the positions k in S.
+        product of weight[label(k)] over the positions k in S; the weights
+        may be ints or Laurent polynomials.
 
         A two-state product: `out` and `inn` sum the closed subsets of the
         positions 1..k that leave out or contain position k."""
         w = [weight[v] for v in self.labels]
-        out, inn = LaurentPoly.one(), w[0]
+        out, inn = 1, w[0]
         for (p, q), w_next in zip(self.edges, w[1:]):
             if p < q:
                 # a subset containing k must contain k+1
@@ -56,33 +57,33 @@ class StringDiagram:
 
 
 def gr_euler(c, e):
-    """Number of submodules of the string module of c with dim vector e."""
-    ensure_string(c.quiver, c)
-    key = tuple(sorted((v, d) for v, d in e.items() if d))
-    return StringDiagram(c).submodule_counts().get(key, 0)
+    """Number of submodules of the string module of c with dim vector e:
+    a coefficient of the transfer product in the label variables."""
+    c = ensure_string(c.quiver, c)
+    x = {v: LaurentPoly.var(v) for v in c.vertices}
+    return StringDiagram(c).transfer(x).coefficient(e)
 
 
 def total_gr_euler(c):
-    """Total submodule count of the string module of c."""
-    ensure_string(c.quiver, c)
-    return sum(StringDiagram(c).submodule_counts().values())
+    """Total submodule count of the string module of c: the transfer
+    product with every weight 1."""
+    c = ensure_string(c.quiver, c)
+    return StringDiagram(c).transfer(dict.fromkeys(c.vertices, 1))
 
 
 def cluster_character(q, c):
     """The cluster character of the string module of c over the ice quiver
     q, as a Laurent polynomial in the variables of all vertices of q."""
-    return _character_and_pairings(q, c)[0]
+    return _character_and_normaliser(q, c)[0]
 
 
-def _character_and_pairings(q, c):
-    """cluster_character(q, c) and the pairings {i: <S_i,M>} it reads off
-    the string, which the normalising vector needs too."""
+def _character_and_normaliser(q, c):
+    """cluster_character(q, c) and normalisation_vector(q, c), both from
+    one pass over the string (`homalg._string_pass`)."""
     if q.has_loops_or_two_cycles():
         raise QuiverError("cluster characters need a loop- and 2-cycle-free "
                           "quiver")
-    ensure_string(q, c)
-    if c.quiver is not q:
-        c = c.on(q)
+    c = ensure_string(q, c)
     dims = collections.Counter(c.vertices)
     if dims.keys() & q.frozen:
         raise UnfrozenViolation(
@@ -101,7 +102,7 @@ def _character_and_pairings(q, c):
         weight[j] = LaurentPoly.monomial(1, exps)
         for i, k in exps.items():
             anti[i] += d * k
-    pair_m, back = simple_pairings(q, c)
+    pair_m, back, vector = _string_pass(q, c)
     for i in q.vertices:
         # only the anti-symmetrised pairing is ever applied to a bare
         # dimension class, so that is the descent we must insist on
@@ -110,7 +111,7 @@ def _character_and_pairings(q, c):
                 f"the anti-symmetrised pairing with the simple at {i!r} "
                 f"does not descend to the dimension vector of {c}")
     return StringDiagram(c).transfer(weight) * LaurentPoly.monomial(
-        1, {i: -pair_m[i] for i in q.vertices}), pair_m
+        1, {i: -pair_m[i] for i in q.vertices}), vector
 
 
 def pp_character(q, c):
@@ -124,7 +125,7 @@ def pp_character(q, c):
         raise QuiverError("the input quiver must have no frozen vertices; "
                           "the principal extension is added internally")
     ext = principal_extension(q)
-    return cluster_character(ext, c.on(ext))
+    return cluster_character(ext, c)
 
 
 def separate(f, w):

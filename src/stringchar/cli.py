@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 domain error, 2 input parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -15,6 +16,7 @@ from .laurent import LaurentPoly
 from .quiver import BoundIceQuiver, Walk, enumerate_strings
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="stringchar",
@@ -155,10 +157,8 @@ def _run(args):
 def _verify(q, max_length):
     failures = 0
     for c in enumerate_strings(q, max_length, unfrozen_only=True):
-        # the character and the normalising vector share one pairing of the
-        # string with the simples
-        x_char, pairings = character._character_and_pairings(q, c)
-        vector = homalg._normalisation_vector(q, c, pairings)
+        # one pass over the string gives the character and the normaliser
+        x_char, vector = character._character_and_normaliser(q, c)
         lhs = x_char * LaurentPoly.monomial(1, vector)
         rhs = formula.walk_laurent(q, c)
         status = "PASS" if lhs == rhs else "FAIL"

@@ -115,16 +115,17 @@ def numerator_normalisation(q, c):
 
 
 def walk_count(c):
-    """l_c: the integer matrix-product count (2 for trivial walks)."""
-    a, b, cc, d = 1, 0, 0, 1
+    """l_c: the integer matrix-product count (2 for trivial walks), carried
+    as the row vector of `walk_numerator` with every variable set to 1."""
+    left = right = 1
     for step in c.steps:
         if step.forward:
             # times [[1, 0], [1, 1]]
-            a, b, cc, d = a + b, b, cc + d, d
+            left += right
         else:
             # times [[1, 1], [0, 1]]
-            a, b, cc, d = a, a + b, cc, cc + d
-    return a + b + cc + d
+            right += left
+    return left + right
 
 
 def frieze_entry(word):

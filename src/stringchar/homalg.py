@@ -1,11 +1,10 @@
 """Homological algebra over monomial bound quiver algebras: projectives via
 path bases, Hom by exact elimination, Ext^1 from the relation complex, Euler
-forms and rigidity; and, counted on the string with no linear algebra, the
-pairings of a string module with the simples and its normalising vector."""
+forms and rigidity; and, in one pass over a string with no linear algebra,
+the pairings of its module with the simples and its normalising vector."""
 
 from __future__ import annotations
 
-import collections
 import weakref
 from fractions import Fraction
 
@@ -287,14 +286,40 @@ def simple_pairings(q, c):
         <M,S_i> = dim M_i - #{(a, k) : a: label(k) -> i, and no relation
                   p a has p walking backward from k}.
     """
-    ensure_string(q, c)
+    forward, backward, _vector = _string_pass(q, ensure_string(q, c))
+    return forward, backward
+
+
+def normalisation_vector(q, c):
+    """The per-vertex normalisation of a string module M, supported on the
+    closure of its support (the support and its one-arrow neighbours).
+
+    Its entry at i is the truncated pairing <S_i,M> minus the hereditary
+    pairing of the simple fibres over i with the spine module of the
+    blow-up of q along c (`quiver.blow_up`).  The spine module is 1 on the
+    spine and 0 on the frozen pendants, so that pairing has a closed form:
+    the spine vertex over a position k adds 1 - (spine steps leaving k),
+    and each in-pendant (an arrow into label(k) that neither step at k
+    uses) adds -1.  Summed over the positions labelled i, the spine steps
+    leaving them are the steps whose arrow starts at i, so
+
+        n_i = <S_i,M> - dim M_i + #{steps whose arrow starts at i}
+              + #{(a, k) : a: i -> label(k) used by neither step at k}.
+
+    No blow-up is built: it is counted in the same pass as the pairings.
+    """
+    return _string_pass(q, ensure_string(q, c))[2]
+
+
+def _string_pass(q, c):
+    """(simple_pairings(q, c), normalisation_vector(q, c)) as one triple,
+    from one pass over the positions of the string c on q."""
     # only finite-dimensional algebras are in scope
     path_basis(q)
-    if c.quiver is not q:
-        c = c.on(q)
     labels = c.vertices
     # ahead[k][a] is the position that arrow a takes position k to, and
-    # behind[k][a] the position that a takes to k
+    # behind[k][a] the position that a takes to k; so the arrows of the
+    # steps at k are the keys of both
     ahead = [{} for _ in labels]
     behind = [{} for _ in labels]
     for k, step in enumerate(c.steps):
@@ -315,60 +340,26 @@ def simple_pairings(q, c):
     for rel in q.relations:
         after.setdefault(rel[0], []).append(rel[1:])
         before.setdefault(rel[-1], []).append(rel[-2::-1])
-    dims = collections.Counter(labels)
-    forward = {i: dims[i] for i in q.vertices}
+    forward = {i: 0 for i in q.vertices}
     backward = dict(forward)
+    # extra[i] = n_i - <S_i,M>; closure is the support and its neighbours
+    extra = dict(forward)
+    closure = set(labels)
     for k, v in enumerate(labels):
+        forward[v] += 1
+        backward[v] += 1
+        # the steps whose arrow leaves position k, less dim M there
+        extra[v] += len(ahead[k]) - 1
         for arrow in q.arrows_to(v):
+            closure.add(arrow.source)
             if not any(walks(ahead, k, p) for p in after.get(arrow.name, ())):
                 forward[arrow.source] -= 1
+            if arrow.name not in ahead[k] and arrow.name not in behind[k]:
+                extra[arrow.source] += 1
         for arrow in q.arrows_from(v):
+            closure.add(arrow.target)
             if not any(walks(behind, k, p)
                        for p in before.get(arrow.name, ())):
                 backward[arrow.target] -= 1
-    return forward, backward
-
-
-def normalisation_vector(q, c):
-    """The per-vertex normalisation of a string module M, supported on the
-    closure of its support (the support and its one-arrow neighbours).
-
-    Its entry at i is the truncated pairing <S_i,M> minus the hereditary
-    pairing of the simple fibres over i with the spine module of the
-    blow-up of q along c (`quiver.blow_up`).  The spine module is 1 on the
-    spine and 0 on the frozen pendants, so that pairing has a closed form:
-    the spine vertex over a position k adds 1 - (spine steps leaving k),
-    and each in-pendant (an arrow into label(k) that neither step at k
-    uses) adds -1.  Summed over the positions labelled i, the spine steps
-    leaving them are the steps whose arrow starts at i, so
-
-        n_i = <S_i,M> - dim M_i + #{steps whose arrow starts at i}
-              + #{(a, k) : a: i -> label(k) used by neither step at k}.
-
-    No blow-up is built.
-    """
-    return _normalisation_vector(q, c, simple_pairings(q, c)[0])
-
-
-def _normalisation_vector(q, c, forward):
-    """normalisation_vector(q, c) from the pairings forward = {i: <S_i,M>}
-    of `simple_pairings`."""
-    if c.quiver is not q:
-        c = c.on(q)
-    support = set(c.vertices)
-    closure = set(support)
-    for arrow in q.arrows.values():
-        if arrow.source in support:
-            closure.add(arrow.target)
-        if arrow.target in support:
-            closure.add(arrow.source)
-    dims = collections.Counter(c.vertices)
-    result = {i: forward[i] - dims[i] for i in q.vertices if i in closure}
-    for step in c.steps:
-        result[q.arrows[step.arrow].source] += 1
-    for k, v in enumerate(c.vertices):
-        used = (c.step_arrow(k), c.step_arrow(k + 1))
-        for arrow in q.arrows_to(v):
-            if arrow.name not in used:
-                result[arrow.source] += 1
-    return result
+    vector = {i: forward[i] + extra[i] for i in q.vertices if i in closure}
+    return forward, backward, vector

@@ -122,16 +122,17 @@ class LaurentPoly:
     constructor takes both as they are, so code outside this module builds
     polynomials with `const`, `var`, `monomial` and the ring operations.
     Both are treated as immutable once the polynomial is built, so the hash
-    is kept.
+    and the canonical text are kept.
     """
 
-    __slots__ = ("terms", "bound", "_hash")
+    __slots__ = ("terms", "bound", "_hash", "_text")
 
     def __init__(self, terms, bound):
         _check_limit(bound, "the polynomial")
         self.terms = terms
         self.bound = bound
         self._hash = None
+        self._text = None
 
     @classmethod
     def zero(cls):
@@ -454,6 +455,8 @@ class LaurentPoly:
 
     def text(self):
         """Canonical text form, e.g. ``2 * x[1]^2 x[2]^-1 + 1``."""
+        if self._text is not None:
+            return self._text
         if self.is_zero():
             return "0"
         pieces = []
@@ -468,7 +471,8 @@ class LaurentPoly:
                 pieces.append(body if coeff > 0 else f"-{body}")
             else:
                 pieces.append(("+ " if coeff > 0 else "- ") + body)
-        return " ".join(pieces)
+        self._text = " ".join(pieces)
+        return self._text
 
     def __str__(self):
         return self.text()

@@ -378,9 +378,13 @@ def is_valid_string(q, c):
 
 
 def ensure_string(q, c):
+    """The walk c on q; raises InvalidStringError unless it is a string."""
+    if c.quiver is not q:
+        c = c.on(q)
     violation = validate_string(q, c)
     if violation is not None:
         raise InvalidStringError(violation)
+    return c
 
 
 class Representation:
@@ -461,9 +465,7 @@ def string_module(q, c):
     Basis vector z_i sits at the i-th walk vertex; a forward step at
     position i sends z_i to z_{i+1}, an inverse step sends z_{i+1} to z_i.
     """
-    ensure_string(q, c)
-    if c.quiver is not q:
-        c = c.on(q)
+    c = ensure_string(q, c)
     positions = {}
     for i, v in enumerate(c.vertices, start=1):
         positions.setdefault(v, []).append(i)
@@ -605,9 +607,7 @@ def blow_up(q, c):
     Returns (blown-up ice quiver, winding onto the closure of the support,
     spine representation).
     """
-    ensure_string(q, c)
-    if c.quiver is not q:
-        c = c.on(q)
+    c = ensure_string(q, c)
     module = string_module(q, c)
     closure, _border = closure_and_border(q, module)
     n = c.length

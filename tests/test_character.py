@@ -79,7 +79,10 @@ def test_closed_subsets_of_a_single_arrow():
 
 
 def test_submodule_counts_match_the_mask_oracle():
-    # the label variables, and seeded random monomials as weights
+    # the label variables, and seeded random monomials as weights; chi is
+    # the transfer product at weight 1, and a coefficient of it in the label
+    # variables, checked at every dimension vector (and at one that does not
+    # occur) on the strings of length at most 4
     rng = random.Random(8)
     for path in sorted(FIXTURES.glob("*.quiver")):
         q = load(path.stem)
@@ -93,6 +96,15 @@ def test_submodule_counts_match_the_mask_oracle():
             assert diagram.submodule_counts() == counts, f"{path.stem}: {c}"
             assert diagram.transfer(monomials) == \
                 _weighted_counts(counts, weight), f"{path.stem}: {c}"
+            total = total_gr_euler(c)
+            assert type(total) is int
+            assert total == sum(counts.values()), f"{path.stem}: {c}"
+            if c.length > 4:
+                continue
+            for key, count in counts.items():
+                assert gr_euler(c, dict(key)) == count, f"{path.stem}: {c}"
+            absent = {c.source: len(c.vertices) + 1}
+            assert gr_euler(c, absent) == 0, f"{path.stem}: {c}"
 
 
 def test_gr_euler_values():

@@ -1,8 +1,10 @@
 """Command line behaviour: outputs, formats and exit codes."""
 
+import argparse
 import json
+import sys
 
-from stringchar import homalg
+from stringchar import character, homalg
 from stringchar.cli import main
 
 from conftest import FIXTURES
@@ -188,16 +190,22 @@ def test_string_commands_build_no_representation(capsys, monkeypatch):
 
 def test_verify_pairs_each_string_with_the_simples_once(capsys,
                                                        monkeypatch):
+    # one pass over the string gives the pairings and the normalising
+    # vector; count it wherever it is bound
     calls = []
-    pairings = homalg.simple_pairings
+    string_pass = homalg._string_pass
 
-    def counting_pairings(q, c):
+    def counting_pass(q, c):
         calls.append(str(c))
-        return pairings(q, c)
+        return string_pass(q, c)
 
-    for site in ("homalg", "character"):
-        monkeypatch.setattr(f"stringchar.{site}.simple_pairings",
-                            counting_pairings)
+    sites = [(module, attr) for name, module in list(sys.modules.items())
+             if name.partition(".")[0] == "stringchar"
+             for attr, value in vars(module).items() if value is string_pass]
+    assert (homalg, "_string_pass") in sites
+    assert (character, "_string_pass") in sites
+    for module, attr in sites:
+        monkeypatch.setattr(module, attr, counting_pass)
     for name in ("dcyclic5", "diamond5", "a4dec"):
         calls.clear()
         code, out, _err = run(capsys, "verify", fixture(name),
@@ -207,6 +215,23 @@ def test_verify_pairs_each_string_with_the_simples_once(capsys,
                    if line.startswith("PASS")]
         assert len(checked) > 5
         assert calls == checked, name
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    run(capsys, "lcount", fixture("a2"), "--walk", "alpha")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "lcount", fixture("a2"), "--walk", "alpha") == \
+        (0, "3\n", "")
+    assert run(capsys, "chi", fixture("a2"), "--string", "alpha") == \
+        (0, "3\n", "")
+    assert built == []
 
 
 def test_missing_file_is_a_hard_error(capsys, tmp_path):

@@ -165,6 +165,17 @@ def test_backtracking_is_not_a_string():
         ensure_string(q, c)
 
 
+def test_ensure_string_returns_the_walk_on_the_quiver():
+    q = load("diamond5")
+    c = Walk.parse(q, "delta^-1 beta gamma")
+    assert ensure_string(q, c) is c
+    for other in (load("diamond5"), q.full_subquiver(q.vertices)):
+        for walk in (c, Walk.trivial(q, "3")):
+            on = ensure_string(other, walk)
+            assert on.quiver is other
+            assert on == walk
+
+
 def test_relation_windows_forward_and_inverted():
     q = load("a2ice")
     forward = Walk(q, (Step("alpha", True), Step("beta", True)))
