@@ -34,18 +34,13 @@ class StringDiagram:
         product of weight[label(k)] over the positions k in S; the weights
         may be ints or Laurent polynomials.
 
-        A two-state product: `out` and `inn` sum the closed subsets of the
-        positions 1..k that leave out or contain position k."""
+        A two-state product (`transfer_step`); at the first position the
+        closed subsets are the empty one and the one containing it."""
         w = [weight[v] for v in self.labels]
-        out, inn = 1, w[0]
+        state = 1, w[0], 1 + w[0]
         for (p, q), w_next in zip(self.edges, w[1:]):
-            if p < q:
-                # a subset containing k must contain k+1
-                inn = (out + inn) * w_next
-            else:
-                # a subset containing k+1 must contain k
-                out, inn = out + inn, inn * w_next
-        return out + inn
+            state = transfer_step(state, p < q, w_next)
+        return state[2]
 
     def submodule_counts(self):
         """Submodule count by dimension vector, the dimension vector keyed
@@ -54,6 +49,22 @@ class StringDiagram:
         x = {v: LaurentPoly.var(v) for v in self.labels}
         return {tuple(exps.items()): count
                 for exps, count in self.transfer(x).monomials()}
+
+
+def transfer_step(state, forward, weight):
+    """The transfer state of a string extended by one step to a position
+    of the given weight.  The state (out, inn, total) sums the closed
+    subsets of the positions 1..k: those that leave out position k, those
+    that contain it, and all of them; at k = 1 it is (1, w, 1 + w).  The
+    step is forward if it points from k to k+1."""
+    out, inn, total = state
+    if forward:
+        # a subset containing k must contain k+1
+        inn = total * weight
+        return out, inn, out + inn
+    # a subset containing k+1 must contain k
+    inn = inn * weight
+    return total, inn, total + inn
 
 
 def gr_euler(c, e):
@@ -73,45 +84,61 @@ def total_gr_euler(c):
 
 def cluster_character(q, c):
     """The cluster character of the string module of c over the ice quiver
-    q, as a Laurent polynomial in the variables of all vertices of q."""
-    return _character_and_normaliser(q, c)[0]
-
-
-def _character_and_normaliser(q, c):
-    """cluster_character(q, c) and normalisation_vector(q, c), both from
+    q, as a Laurent polynomial in the variables of all vertices of q: the
+    transfer product at the `_weights` times x^-<S_.,M>, the pairings from
     one pass over the string (`homalg._string_pass`)."""
+    _require_loop_free(q)
+    c = ensure_string(q, c)
+    frozen = set(c.vertices) & q.frozen
+    if frozen:
+        raise UnfrozenViolation(
+            f"the string {c} touches the frozen vertices {sorted(frozen)}")
+    counts = _string_pass(q, c)
+    _check_descent(q, c, counts)
+    return _character(q, counts, StringDiagram(c).transfer(_weights(q)))
+
+
+def _require_loop_free(q):
     if q.has_loops_or_two_cycles():
         raise QuiverError("cluster characters need a loop- and 2-cycle-free "
                           "quiver")
-    c = ensure_string(q, c)
-    dims = collections.Counter(c.vertices)
-    if dims.keys() & q.frozen:
-        raise UnfrozenViolation(
-            f"the string {c} touches the frozen vertices "
-            f"{sorted(dims.keys() & q.frozen)}")
-    # Ext^1(S_i,S_j) counts the arrows i -> j over an admissible monomial
-    # ideal, so the anti-symmetrised form on simples is <S_i,S_j>_a = -b_ij,
-    # the exponent of x_i in w_j.  The exponent of x_i at a submodule of
-    # dimension vector e, sum_j e_j <S_i,S_j>_a - <S_i,M>, is thus its
-    # exponent in prod_j w_j^e_j * x^-<S_.,M>; `anti` sums it at e = dim M.
+
+
+def _weights(q):
+    """The transfer weight of each vertex j, w_j = prod_{a: j -> t} x_t /
+    prod_{a: s -> j} x_s, the column of -b at j.
+
+    Ext^1(S_i,S_j) counts the arrows i -> j over an admissible monomial
+    ideal, so the anti-symmetrised form on simples is <S_i,S_j>_a = -b_ij,
+    the exponent of x_i in w_j.  The exponent of x_i at a submodule of
+    dimension vector e, sum_j e_j <S_i,S_j>_a - <S_i,M>, is thus its
+    exponent in prod_j w_j^e_j * x^-<S_.,M>."""
     weight = {}
-    anti = collections.Counter()
-    for j, d in dims.items():
+    for j in q.vertices:
         exps = collections.Counter(a.target for a in q.arrows_from(j))
         exps.subtract(a.source for a in q.arrows_to(j))
         weight[j] = LaurentPoly.monomial(1, exps)
-        for i, k in exps.items():
-            anti[i] += d * k
-    pair_m, back, vector = _string_pass(q, c)
+    return weight
+
+
+def _check_descent(q, c, counts):
+    """Raise K0IllDefined unless <S_i,M> - <M,S_i>, from the
+    `_StringCounts` of the string c, is the anti-symmetrised pairing of
+    S_i with dim M for every vertex i."""
     for i in q.vertices:
         # only the anti-symmetrised pairing is ever applied to a bare
         # dimension class, so that is the descent we must insist on
-        if pair_m[i] - back[i] != anti[i]:
+        if counts.forward[i] - counts.backward[i] != counts.anti[i]:
             raise K0IllDefined(
                 f"the anti-symmetrised pairing with the simple at {i!r} "
                 f"does not descend to the dimension vector of {c}")
-    return StringDiagram(c).transfer(weight) * LaurentPoly.monomial(
-        1, {i: -pair_m[i] for i in q.vertices}), vector
+
+
+def _character(q, counts, transfer):
+    """The character from the transfer product at the `_weights` and the
+    `_StringCounts` of the string: transfer * x^-<S_.,M>."""
+    return transfer * LaurentPoly.monomial(
+        1, {i: -counts.forward[i] for i in q.vertices})
 
 
 def pp_character(q, c):

@@ -12,8 +12,8 @@ import sys
 
 from . import character, formula, homalg, mutation
 from .errors import InputParseError, StringCharError
-from .laurent import LaurentPoly
-from .quiver import BoundIceQuiver, Walk, enumerate_strings
+from .quiver import BoundIceQuiver, Walk
+from .sweep import sweep
 
 
 @functools.cache
@@ -156,15 +156,11 @@ def _run(args):
 
 def _verify(q, max_length):
     failures = 0
-    for c in enumerate_strings(q, max_length, unfrozen_only=True):
-        # one pass over the string gives the character and the normaliser
-        x_char, vector = character._character_and_normaliser(q, c)
-        lhs = x_char * LaurentPoly.monomial(1, vector)
-        rhs = formula.walk_laurent(q, c)
-        status = "PASS" if lhs == rhs else "FAIL"
+    for swept in sweep(q, max_length):
+        status = "PASS" if swept.holds else "FAIL"
         if status == "FAIL":
             failures += 1
-        print(f"{status}  {c}")
+        print(f"{status}  {swept.string}")
     print(f"{'OK' if not failures else 'FAILED'}: {failures} failure(s)")
     return 1 if failures else 0
 

@@ -4,10 +4,13 @@ exchange-style identity checks.
 
 The numerator N_c of L_c is the bracket [1,1] M [1;1] of a product M of
 2x2 step and vertex matrices.  `walk_numerator` evaluates it as a row
-vector carried along the walk, with a few monomial products per step;
-`walk_matrix` forms the full product and is kept as its oracle."""
+vector carried along the walk, with three products by a cached monomial
+per step (`walk_step`); `walk_matrix` forms the full product and is kept
+as its oracle."""
 
 from __future__ import annotations
+
+import weakref
 
 from .errors import QuiverError
 from .laurent import LaurentPoly, Mat2
@@ -23,13 +26,12 @@ def step_matrix(q, step):
     return Mat2(xt, 1, 0, xs)
 
 
-def _vertex_exponents(q, c, i):
-    """Exponents of the diagonal entries (top, bottom) of V_c(i), as
-    {vertex: exponent} dicts.  Every arrow incident to v_i contributes
-    (top: x of its target for an arrow out of v_i; bottom: x of its source
-    for an arrow into v_i), except the arrows of the steps i-1 and i."""
-    v = c.vertices[i - 1]
-    excluded = (c.step_arrow(i - 1), c.step_arrow(i))
+def _vertex_exponents(q, v, excluded):
+    """Exponents of the diagonal entries (top, bottom) of the vertex matrix
+    at v, as {vertex: exponent} dicts.  Every arrow incident to v
+    contributes (top: x of its target for an arrow out of v; bottom: x of
+    its source for an arrow into v), except the arrows in excluded, those
+    of the walk's steps on either side of v."""
     top, bottom = {}, {}
     for arrow in q.arrows_from(v):
         if arrow.name not in excluded:
@@ -46,7 +48,8 @@ def vertex_matrix(q, c, i):
     excluded; everything else incident to v_i contributes."""
     if not 1 <= i <= c.length + 1:
         raise QuiverError(f"vertex index {i} out of range 1..{c.length + 1}")
-    top, bottom = _vertex_exponents(q, c, i)
+    top, bottom = _vertex_exponents(
+        q, c.vertices[i - 1], (c.step_arrow(i - 1), c.step_arrow(i)))
     return Mat2.diagonal(LaurentPoly.monomial(1, top),
                          LaurentPoly.monomial(1, bottom))
 
@@ -63,34 +66,75 @@ def walk_matrix(q, c):
     return product
 
 
+_vertex_cache = weakref.WeakKeyDictionary()
+
+
+def _vertex_monomials(q, v, before, after):
+    """The diagonal (top, bottom) of the vertex matrix at v, which leaves
+    out the arrows before and after of the steps on either side (None past
+    an end of the walk), as monomials; when a step follows, also top x_t
+    and bottom x_s for its arrow s -> t.  Built once per quiver, vertex and
+    pair of excluded arrows."""
+    cache = _vertex_cache.get(q)
+    if cache is None:
+        cache = _vertex_cache[q] = {}
+    key = v, before, after
+    entry = cache.get(key)
+    if entry is None:
+        top, bottom = _vertex_exponents(q, v, (before, after))
+        entry = LaurentPoly.monomial(1, top), LaurentPoly.monomial(1, bottom)
+        if after is not None:
+            arrow = q.arrow(after)
+            s, t = arrow.source, arrow.target
+            entry += (LaurentPoly.monomial(1, {**top, t: top.get(t, 0) + 1}),
+                      LaurentPoly.monomial(1, {**bottom,
+                                               s: bottom.get(s, 0) + 1}))
+        cache[key] = entry
+    return entry
+
+
+def walk_step(q, vector, v, before, step):
+    """The row vector (l, r) times V A(step), where step leaves the vertex
+    v and V is the vertex matrix there, which leaves out the arrows of
+    step and of the step before it (before, None at the start).
+
+    With x_s, x_t the variables of the step's arrow, a forward step maps
+    (l, r) to (l top x_t + r bottom, r bottom x_s) and an inverse step to
+    (l top x_t, l top + r bottom x_s)."""
+    top, bottom, top_xt, bottom_xs = _vertex_monomials(q, v, before,
+                                                       step.arrow)
+    left, right = vector
+    if step.forward:
+        return left * top_xt + right * bottom, right * bottom_xs
+    return left * top_xt, left * top + right * bottom_xs
+
+
+def walk_end(q, vector, v, before):
+    """The bracket N = l top + r bottom of the row vector (l, r) of a walk
+    that ends at v, its last step on the arrow before (None for a trivial
+    walk): the last vertex matrix and [1;1]."""
+    top, bottom = _vertex_monomials(q, v, before, None)
+    left, right = vector
+    return left * top + right * bottom
+
+
 def walk_numerator(q, c):
     """N_c = [1,1] V_c(1) A(c_1) V_c(2) ... A(c_n) V_c(n+1) [1;1].
 
-    The bracket is evaluated as a row vector (l, r) carried along the walk,
-    starting from [1,1] V_c(1) = (top_1, bottom_1).  With x_s, x_t the
-    variables of the step's arrow and top, bottom the entries of the next
-    vertex matrix, a forward step maps (l, r) to
-    (l x_t top + r top, r x_s bottom) and an inverse step to
-    (l x_t top, l bottom + r x_s bottom).  N_c is l + r at the end.
+    The bracket is evaluated as a row vector (l, r) carried along the walk
+    from [1,1]: each step multiplies it by the vertex matrix where the step
+    starts and by the step matrix (`walk_step`), and N_c is the bracket with
+    the last vertex matrix (`walk_end`).  The vertex matrix at v_i leaves
+    out the arrows of the steps i-1 and i, so it is known only once the
+    step after v_i is.
     """
     if c.quiver is not q:
         c = c.on(q)
-    monomial = LaurentPoly.monomial
-    top, bottom = _vertex_exponents(q, c, 1)
-    left, right = monomial(1, top), monomial(1, bottom)
-    for i, step in enumerate(c.steps, start=2):
-        arrow = q.arrow(step.arrow)
-        s, t = arrow.source, arrow.target
-        top, bottom = _vertex_exponents(q, c, i)
-        xt_top = monomial(1, {**top, t: top.get(t, 0) + 1})
-        xs_bottom = monomial(1, {**bottom, s: bottom.get(s, 0) + 1})
-        if step.forward:
-            left, right = (left * xt_top + right * monomial(1, top),
-                           right * xs_bottom)
-        else:
-            left, right = (left * xt_top,
-                           left * monomial(1, bottom) + right * xs_bottom)
-    return left + right
+    vector, before = (1, 1), None
+    for v, step in zip(c.vertices, c.steps):
+        vector = walk_step(q, vector, v, before, step)
+        before = step.arrow
+    return walk_end(q, vector, c.target, before)
 
 
 def walk_denominator(q, c):

@@ -286,8 +286,8 @@ def simple_pairings(q, c):
         <M,S_i> = dim M_i - #{(a, k) : a: label(k) -> i, and no relation
                   p a has p walking backward from k}.
     """
-    forward, backward, _vector = _string_pass(q, ensure_string(q, c))
-    return forward, backward
+    counts = _string_pass(q, ensure_string(q, c))
+    return counts.forward, counts.backward
 
 
 def normalisation_vector(q, c):
@@ -308,58 +308,122 @@ def normalisation_vector(q, c):
 
     No blow-up is built: it is counted in the same pass as the pairings.
     """
-    return _string_pass(q, ensure_string(q, c))[2]
+    return _string_pass(q, ensure_string(q, c)).normaliser(q)
 
 
 def _string_pass(q, c):
-    """(simple_pairings(q, c), normalisation_vector(q, c)) as one triple,
-    from one pass over the positions of the string c on q."""
+    """The `_StringCounts` of the string c on q: one pass over its
+    positions."""
     # only finite-dimensional algebras are in scope
     path_basis(q)
-    labels = c.vertices
-    # ahead[k][a] is the position that arrow a takes position k to, and
-    # behind[k][a] the position that a takes to k; so the arrows of the
-    # steps at k are the keys of both
-    ahead = [{} for _ in labels]
-    behind = [{} for _ in labels]
-    for k, step in enumerate(c.steps):
-        source, target = (k, k + 1) if step.forward else (k + 1, k)
-        ahead[source][step.arrow] = target
-        behind[target][step.arrow] = source
+    counts = _StringCounts(q)
+    _PositionCount(q).add(counts, c, 0, len(c.vertices))
+    return counts
 
-    def walks(moves, k, path):
-        for name in path:
-            k = moves[k].get(name)
-            if k is None:
-                return False
-        return True
 
-    # the rest of each relation after its first arrow, and before its last
-    # arrow read backwards
-    after, before = {}, {}
-    for rel in q.relations:
-        after.setdefault(rel[0], []).append(rel[1:])
-        before.setdefault(rel[-1], []).append(rel[-2::-1])
-    forward = {i: 0 for i in q.vertices}
-    backward = dict(forward)
-    # extra[i] = n_i - <S_i,M>; closure is the support and its neighbours
-    extra = dict(forward)
-    closure = set(labels)
-    for k, v in enumerate(labels):
-        forward[v] += 1
-        backward[v] += 1
-        # the steps whose arrow leaves position k, less dim M there
-        extra[v] += len(ahead[k]) - 1
-        for arrow in q.arrows_to(v):
-            closure.add(arrow.source)
-            if not any(walks(ahead, k, p) for p in after.get(arrow.name, ())):
-                forward[arrow.source] -= 1
-            if arrow.name not in ahead[k] and arrow.name not in behind[k]:
-                extra[arrow.source] += 1
-        for arrow in q.arrows_from(v):
-            closure.add(arrow.target)
-            if not any(walks(behind, k, p)
-                       for p in before.get(arrow.name, ())):
-                backward[arrow.target] -= 1
-    vector = {i: forward[i] + extra[i] for i in q.vertices if i in closure}
-    return forward, backward, vector
+class _StringCounts:
+    """Sums over the positions of a string, per vertex i of the quiver:
+    `dims` dim M_i, `forward` <S_i,M>, `backward` <M,S_i>, `extra`
+    n_i - <S_i,M>, and `anti` sum_j dim M_j <S_i,S_j>_a, the
+    anti-symmetrised pairing of S_i with the dimension vector of M; and
+    `closure`, the support and its one-arrow neighbours."""
+
+    __slots__ = ("dims", "forward", "backward", "extra", "anti", "closure")
+
+    def __init__(self, q):
+        self.dims = dict.fromkeys(q.vertices, 0)
+        self.forward = dict(self.dims)
+        self.backward = dict(self.dims)
+        self.extra = dict(self.dims)
+        self.anti = dict(self.dims)
+        self.closure = set()
+
+    def copy(self):
+        other = object.__new__(_StringCounts)
+        other.dims = dict(self.dims)
+        other.forward = dict(self.forward)
+        other.backward = dict(self.backward)
+        other.extra = dict(self.extra)
+        other.anti = dict(self.anti)
+        other.closure = set(self.closure)
+        return other
+
+    def normaliser(self, q):
+        """normalisation_vector: n_i on the closure of the support."""
+        return {i: self.forward[i] + self.extra[i] for i in q.vertices
+                if i in self.closure}
+
+
+class _PositionCount:
+    """What one position of a string on q adds to its `_StringCounts`.  It
+    depends on the steps within `reach` of the position: the longest
+    relation but one arrow, and at least the step on each side.  So once a
+    string has `reach` steps past a position, no extension of it changes
+    what that position adds."""
+
+    def __init__(self, q):
+        # the rest of each relation after its first arrow, and before its
+        # last arrow read backwards
+        after, before = {}, {}
+        for rel in q.relations:
+            after.setdefault(rel[0], []).append(rel[1:])
+            before.setdefault(rel[-1], []).append(rel[-2::-1])
+        self.into = {v: [(a.name, a.source, after.get(a.name, ()))
+                         for a in q.arrows_to(v)] for v in q.vertices}
+        self.out_of = {v: [(a.name, a.target, before.get(a.name, ()))
+                           for a in q.arrows_from(v)] for v in q.vertices}
+        self.reach = max((len(rel) for rel in q.relations), default=2) - 1
+
+    def add(self, counts, c, first, last):
+        """Add to counts what the positions first..last-1 (0-based) of the
+        string c add."""
+        steps = c.steps
+        n = len(steps)
+        forward, backward, extra = counts.forward, counts.backward, \
+            counts.extra
+        anti, closure = counts.anti, counts.closure
+        for k in range(first, last):
+            v = c.vertices[k]
+            counts.dims[v] += 1
+            closure.add(v)
+            forward[v] += 1
+            backward[v] += 1
+            # the steps at position k: step k - 1 on its left and step k
+            # on its right, 0-based; their arrows, and the number of them
+            # that leave k, less dim M there
+            left = steps[k - 1] if k else None
+            right = steps[k] if k < n else None
+            used = (left and left.arrow, right and right.arrow)
+            extra[v] += (bool(right and right.forward) +
+                         bool(left and not left.forward) - 1)
+            for name, source, rests in self.into[v]:
+                closure.add(source)
+                anti[source] -= 1
+                if not (rests and any(_walks(steps, k, p, True)
+                                      for p in rests)):
+                    forward[source] -= 1
+                if name not in used:
+                    extra[source] += 1
+            for name, target, rests in self.out_of[v]:
+                closure.add(target)
+                anti[target] += 1
+                if not (rests and any(_walks(steps, k, p, False)
+                                      for p in rests)):
+                    backward[target] -= 1
+
+
+def _walks(steps, k, path, ahead):
+    """Whether the arrows of path, in turn, move on from position k of the
+    string with these steps: along each arrow if ahead, else against it.
+    The steps at a position take it one way each, so the move is
+    unique."""
+    for name in path:
+        if k < len(steps) and steps[k].arrow == name and \
+                steps[k].forward == ahead:
+            k += 1
+        elif k and steps[k - 1].arrow == name and \
+                steps[k - 1].forward != ahead:
+            k -= 1
+        else:
+            return False
+    return True

@@ -274,6 +274,22 @@ class Walk:
             return Walk.trivial(quiver, self.vertices[0])
         return Walk(quiver, self.steps)
 
+    def extend(self, step):
+        """This walk followed by one more step; only the new junction is
+        checked."""
+        arrow = self.quiver.arrow(step.arrow)
+        source, target = (arrow.source, arrow.target) if step.forward \
+            else (arrow.target, arrow.source)
+        if source != self.target:
+            raise QuiverError(
+                f"walk is not composable at step {len(self.steps) + 1}: "
+                f"{self.target!r} != {source!r}")
+        walk = object.__new__(Walk)
+        walk.quiver = self.quiver
+        walk.steps = self.steps + (step,)
+        walk.vertices = self.vertices + (target,)
+        return walk
+
     def step_arrow(self, i):
         """Underlying arrow name of the 1-based step i, or None out of range."""
         if 1 <= i <= len(self.steps):
@@ -339,6 +355,31 @@ class StringViolation:
         return self.message
 
 
+def _backtrack(index):
+    """The violation of a step (1-based index) undone by the next one."""
+    return StringViolation(
+        "backtrack", index, (),
+        f"step {index} is immediately undone by step {index + 1}")
+
+
+def _relation_violation(rel, window, index):
+    """The violation if the steps of window, the first of them at the
+    1-based index, spell the relation rel read forward or inverted."""
+    if all(s.forward for s in window) and \
+            tuple(s.arrow for s in window) == rel:
+        return StringViolation(
+            "relation", index, rel,
+            f"steps {index}..{index + len(rel) - 1} spell the relation "
+            f"{' '.join(rel)}")
+    if all(not s.forward for s in window) and \
+            tuple(s.arrow for s in reversed(window)) == rel:
+        return StringViolation(
+            "relation", index, rel,
+            f"steps {index}..{index + len(rel) - 1} spell the inverse of the "
+            f"relation {' '.join(rel)}")
+    return None
+
+
 def validate_string(q, c):
     """Return None if the walk c is a string in q, else a violation report.
 
@@ -351,25 +392,35 @@ def validate_string(q, c):
     for i in range(len(steps) - 1):
         if steps[i].arrow == steps[i + 1].arrow and \
                 steps[i].forward != steps[i + 1].forward:
-            return StringViolation(
-                "backtrack", i + 1, (),
-                f"step {i + 1} is immediately undone by step {i + 2}")
+            return _backtrack(i + 1)
     for rel in q.relations:
         k = len(rel)
         for i in range(len(steps) - k + 1):
-            window = steps[i:i + k]
-            if all(s.forward for s in window) and \
-                    tuple(s.arrow for s in window) == rel:
-                return StringViolation(
-                    "relation", i + 1, rel,
-                    f"steps {i + 1}..{i + k} spell the relation "
-                    f"{' '.join(rel)}")
-            if all(not s.forward for s in window) and \
-                    tuple(s.arrow for s in reversed(window)) == rel:
-                return StringViolation(
-                    "relation", i + 1, rel,
-                    f"steps {i + 1}..{i + k} spell the inverse of the "
-                    f"relation {' '.join(rel)}")
+            violation = _relation_violation(rel, steps[i:i + k], i + 1)
+            if violation is not None:
+                return violation
+    return None
+
+
+def extension_violation(q, steps, step):
+    """The violation of the walk steps + (step,) on the windows that end at
+    its last step: a backtrack, or a relation read forward or inverted.
+    When steps is a string, that is validate_string of the longer walk, so
+    a string is extended by checking these windows alone."""
+    last = steps[-1] if steps else None
+    n = len(steps) + 1
+    if last is not None and last.arrow == step.arrow and \
+            last.forward != step.forward:
+        return _backtrack(n - 1)
+    for rel in q.relations:
+        k = len(rel)
+        # a window ending at step spells rel forward only if step is its
+        # last arrow, and inverted only if step is its first
+        if k <= n and rel[-1 if step.forward else 0] == step.arrow:
+            violation = _relation_violation(rel, steps[n - k:] + (step,),
+                                            n - k + 1)
+            if violation is not None:
+                return violation
     return None
 
 
@@ -656,29 +707,50 @@ def blow_up(q, c):
     return qtilde, phi, mtilde
 
 
-def enumerate_strings(q, max_length, unfrozen_only=False):
-    """All strings of length at most max_length, in a deterministic
-    (length-then-construction) order.  Both orientations of each nontrivial
-    string are produced."""
-    allowed = set(q.unfrozen_vertices) if unfrozen_only else set(q.vertices)
-    results = [Walk.trivial(q, v) for v in q.vertices if v in allowed]
-    frontier = list(results)
+def string_tree(q, max_length, unfrozen_only=False, root=None,
+                extend=None):
+    """Grow every string of length at most max_length as a tree and yield
+    a pair (c, state) per string c as soon as it is made: by length, then
+    in the order of construction.  The strings of length 0 are the trivial
+    ones, in vertex order; each string of length n + 1 extends one of
+    length n, the parents taken in order, by one step, the arrows taken in
+    declaration order and the forward step of an arrow before its inverse.
+    Only the windows that end at the new step are checked
+    (`extension_violation`).
+
+    state is root(c) for a trivial string and extend(state of the parent,
+    c) for a longer one (None without them), so a caller carries anything
+    that grows one step at a time; only the states of the newest two
+    lengths are held."""
+    allowed = set(q.unfrozen_vertices) if unfrozen_only else q.vertex_set
+    moves = {v: [] for v in allowed}
+    for arrow in q.arrows.values():
+        if arrow.source in allowed and arrow.target in allowed:
+            moves[arrow.source].append(Step(arrow.name, True))
+            moves[arrow.target].append(Step(arrow.name, False))
+    frontier = []
+    for v in q.vertices:
+        if v in allowed:
+            c = Walk.trivial(q, v)
+            node = c, root(c) if root else None
+            yield node
+            frontier.append(node)
     for _ in range(max_length):
-        extended = []
-        for walk in frontier:
-            tail = walk.target
-            for arrow in q.arrows.values():
-                candidates = []
-                if arrow.source == tail and arrow.target in allowed:
-                    candidates.append(Step(arrow.name, True))
-                if arrow.target == tail and arrow.source in allowed:
-                    candidates.append(Step(arrow.name, False))
-                for step in candidates:
-                    longer = Walk(q, walk.steps + (step,))
-                    if is_valid_string(q, longer):
-                        extended.append(longer)
-        results.extend(extended)
-        frontier = extended
-        if not frontier:
+        children = []
+        for parent, state in frontier:
+            for step in moves[parent.target]:
+                if extension_violation(q, parent.steps, step) is None:
+                    c = parent.extend(step)
+                    node = c, extend(state, c) if extend else None
+                    yield node
+                    children.append(node)
+        if not children:
             break
-    return results
+        frontier = children
+
+
+def enumerate_strings(q, max_length, unfrozen_only=False):
+    """All strings of length at most max_length, in `string_tree` order:
+    by length, then in the order of construction.  Both orientations of
+    each nontrivial string are produced."""
+    return [c for c, _state in string_tree(q, max_length, unfrozen_only)]

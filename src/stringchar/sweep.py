@@ -1,0 +1,114 @@
+"""The identity X_M * x^n == L_c on every string up to a length, in one
+pass over the string tree (`quiver.string_tree`).
+
+Both sides are left-to-right two-state recurrences along the string, so
+a string one step longer than its parent costs a fixed number of Laurent
+operations on the parent's state, whatever its length (the transfer-matrix
+method, Stanley, Enumerative Combinatorics I, 4.7).  A string carries:
+
+- the walk's row vector (l, r) before its last vertex matrix, which leaves
+  out the arrows of the steps on both sides of the last vertex and so is
+  known only once the next step is (`formula.walk_step`);
+- the transfer pair (out, inn) at the character's weights, and its sum
+  (`character.transfer_step`);
+- the counts of every position that no extension can change
+  (`homalg._PositionCount`); only the last `reach` positions are counted
+  again.
+
+The two sides stay separate recurrences, compared only at the end.
+`walk_laurent`, `cluster_character`, `normalisation_vector` and
+`simple_pairings` compute the same values one string at a time.
+"""
+
+from __future__ import annotations
+
+from .character import _character, _check_descent, _require_loop_free, \
+    _weights, transfer_step
+from .formula import walk_end, walk_step
+from .homalg import _PositionCount, _StringCounts, path_basis
+from .laurent import LaurentPoly
+from .quiver import string_tree
+
+
+class Swept:
+    """One string of the sweep: whether X_M * x^n == L_c holds on it
+    (`holds`), and the terms from which each side is formed: the transfer
+    product T, with X_M = T x^-<S_.,M>, and the numerator N_c, with
+    L_c = N_c x^-dim M."""
+
+    __slots__ = ("quiver", "string", "counts", "transfer", "numerator",
+                 "holds")
+
+    def __init__(self, quiver, string, counts, transfer, numerator, holds):
+        self.quiver = quiver
+        self.string = string
+        self.counts = counts
+        self.transfer = transfer
+        self.numerator = numerator
+        self.holds = holds
+
+    @property
+    def character(self):
+        return _character(self.quiver, self.counts, self.transfer)
+
+    @property
+    def normaliser(self):
+        return self.counts.normaliser(self.quiver)
+
+    @property
+    def walk_polynomial(self):
+        return self.numerator * LaurentPoly.monomial(
+            1, {v: -d for v, d in self.counts.dims.items()})
+
+    @property
+    def pairings(self):
+        """({i: <S_i,M>}, {i: <M,S_i>})."""
+        return self.counts.forward, self.counts.backward
+
+
+def sweep(q, max_length):
+    """Yield a `Swept` for every string of length at most max_length with
+    unfrozen support, in `enumerate_strings` order, each as soon as it is
+    made.  Before the first string the quiver must be loop- and
+    2-cycle-free (QuiverError) with a finite-dimensional path algebra
+    (PathLimitExceeded); a string whose pairings do not descend to its
+    dimension vector raises K0IllDefined when its turn comes."""
+    if q.unfrozen_vertices:
+        _require_loop_free(q)
+        path_basis(q)
+    weight = _weights(q)
+    positions = _PositionCount(q)
+    reach = positions.reach
+
+    # a string's state: the walk's (l, r), the transfer state (out, inn,
+    # total) and the counts of its settled positions
+    def root(c):
+        w = weight[c.source]
+        return (1, 1), (1, w, 1 + w), _StringCounts(q)
+
+    def extend(state, c):
+        vector, transfer, settled = state
+        step = c.steps[-1]
+        n = len(c.steps)
+        settled = settled.copy()
+        if n >= reach:
+            positions.add(settled, c, n - reach, n - reach + 1)
+        return (walk_step(q, vector, c.vertices[-2],
+                          c.steps[-2].arrow if n > 1 else None, step),
+                transfer_step(transfer, step.forward, weight[c.target]),
+                settled)
+
+    for c, (vector, transfer, settled) in string_tree(q, max_length, True,
+                                                      root, extend):
+        n = len(c.steps)
+        counts = settled.copy()
+        positions.add(counts, c, max(n - reach + 1, 0), n + 1)
+        _check_descent(q, c, counts)
+        numerator = walk_end(q, vector, c.target,
+                             c.steps[-1].arrow if n else None)
+        # X x^n == L is T x^(n - <S_.,M> + dim M) == N; <S_i,M> and
+        # dim M_i are 0 off the closure of the support, where n lives
+        shift = {i: e - counts.forward[i] + counts.dims[i]
+                 for i, e in counts.normaliser(q).items()}
+        holds = transfer[2] * LaurentPoly.monomial(1, shift) == numerator
+        yield Swept(q, c, counts, transfer[2], numerator, holds)

@@ -2,9 +2,7 @@
 
 import argparse
 import json
-import sys
 
-from stringchar import character, homalg
 from stringchar.cli import main
 
 from conftest import FIXTURES
@@ -186,35 +184,6 @@ def test_string_commands_build_no_representation(capsys, monkeypatch):
     for argv, (code, out, _err) in zip(calls, expected):
         assert code == 0
         assert run(capsys, *argv) == (code, out, ""), argv
-
-
-def test_verify_pairs_each_string_with_the_simples_once(capsys,
-                                                       monkeypatch):
-    # one pass over the string gives the pairings and the normalising
-    # vector; count it wherever it is bound
-    calls = []
-    string_pass = homalg._string_pass
-
-    def counting_pass(q, c):
-        calls.append(str(c))
-        return string_pass(q, c)
-
-    sites = [(module, attr) for name, module in list(sys.modules.items())
-             if name.partition(".")[0] == "stringchar"
-             for attr, value in vars(module).items() if value is string_pass]
-    assert (homalg, "_string_pass") in sites
-    assert (character, "_string_pass") in sites
-    for module, attr in sites:
-        monkeypatch.setattr(module, attr, counting_pass)
-    for name in ("dcyclic5", "diamond5", "a4dec"):
-        calls.clear()
-        code, out, _err = run(capsys, "verify", fixture(name),
-                              "--max-length", "4")
-        assert code == 0
-        checked = [line.split(None, 1)[1] for line in out.splitlines()
-                   if line.startswith("PASS")]
-        assert len(checked) > 5
-        assert calls == checked, name
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch):

@@ -7,6 +7,7 @@ from stringchar import BoundIceQuiver, InputParseError, InvalidStringError, \
     QuiverError, Representation, Step, Walk, Winding, blow_up, \
     closure_and_border, enumerate_strings, ensure_string, is_valid_string, \
     principal_extension, pushforward, simple, string_module, validate_string
+from stringchar.quiver import extension_violation
 
 from conftest import caret_quiver, load
 
@@ -381,6 +382,59 @@ def test_enumerate_strings_counts():
     ice = load("a2ice")
     assert len(enumerate_strings(ice, 3)) == 9
     assert len(enumerate_strings(ice, 3, unfrozen_only=True)) == 4
+
+
+def _all_walks(q, max_length):
+    """Every walk of length at most max_length, strings or not, in the
+    order in which `enumerate_strings` builds its strings."""
+    walks = [Walk.trivial(q, v) for v in q.vertices]
+    frontier = walks
+    for _ in range(max_length):
+        frontier = [c.extend(Step(name, forward)) for c in frontier
+                    for name, arrow in q.arrows.items()
+                    for forward in (True, False)
+                    if (arrow.source if forward else arrow.target) ==
+                    c.target]
+        walks = walks + frontier
+    return walks
+
+
+TWO_CYCLE = BoundIceQuiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")],
+                           relations=[("a", "b")])
+
+
+@pytest.mark.parametrize("q", [load("a3dec"), load("a4dec"), load("dcyclic3"),
+                               load("dcyclic4"), load("dcyclic5"), TWO_CYCLE],
+                         ids=["a3dec", "a4dec", "dcyclic3", "dcyclic4",
+                              "dcyclic5", "two-cycle"])
+def test_extension_check_reads_only_the_last_windows(q):
+    walks = _all_walks(q, 5)
+    kinds = set()
+    for c in walks:
+        if not c.steps:
+            continue
+        parent = Walk(q, c.steps[:-1]) if len(c.steps) > 1 else \
+            Walk.trivial(q, c.source)
+        if validate_string(q, parent) is None:
+            violation = extension_violation(q, parent.steps, c.steps[-1])
+            assert violation == validate_string(q, c), c
+            kinds.add(violation and violation.kind)
+    assert kinds == ({None, "backtrack", "relation"} if q.relations
+                     else {None, "backtrack"})
+    strings = [c for c in walks if is_valid_string(q, c)]
+    assert enumerate_strings(q, 5) == strings
+    assert len(strings) < len(walks)
+
+
+def test_extend_checks_the_junction():
+    q = load("diamond5")
+    c = Walk.parse(q, "alpha")
+    assert c.extend(Step("delta", True)) == Walk.parse(q, "alpha delta")
+    backtrack = c.extend(Step("alpha", False))
+    assert backtrack == Walk(q, (Step("alpha", True), Step("alpha", False)))
+    assert backtrack.vertices == ("1", "2", "1")
+    with pytest.raises(QuiverError):
+        c.extend(Step("gamma", True))
 
 
 def test_enumerate_strings_is_deterministic():
