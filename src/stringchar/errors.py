@@ -56,8 +56,9 @@ class NotInvertible(StringCharError):
 
 
 class NotSubtractionFree(StringCharError):
-    """Tropical evaluation or separation of a polynomial with a negative
-    coefficient."""
+    """Separation (`character.separate`) of a polynomial with a negative
+    coefficient, or by a separation monomial that is not a monomial with
+    coefficient 1."""
 
 
 class UnfrozenViolation(StringCharError):

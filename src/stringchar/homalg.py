@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from . import exactmat
 from .errors import PathLimitExceeded, QuiverError
-from .quiver import Representation, ensure_string, simple
+from .quiver import Representation, ensure_string, simple, support_closure
 
 _path_basis_cache = weakref.WeakKeyDictionary()
 
@@ -44,9 +44,10 @@ class PathBasis:
                     end = q.arrow(path[-1]).target if path else v
                     for arrow in q.arrows_from(end):
                         longer = path + (arrow.name,)
-                        if any(longer[i:i + len(rel)] == rel
-                               for rel in relations
-                               for i in range(len(longer) - len(rel) + 1)):
+                        # path avoids every relation, so only a window
+                        # ending at the new arrow can spell one
+                        if any(longer[-len(rel):] == rel
+                               for rel in relations):
                             continue
                         new_frontier[v].append(longer)
                         self.paths[v].append(longer)
@@ -79,10 +80,7 @@ def direct_sum(q, *reps):
         block = exactmat.zeros(dims[arrow.target], dims[arrow.source])
         r0 = c0 = 0
         for rep in reps:
-            sub = rep.mats[name]
-            for i, row in enumerate(sub):
-                for j, x in enumerate(row):
-                    block[r0 + i][c0 + j] = x
+            exactmat.set_block(block, rep.mats[name], r0, c0)
             r0 += rep.dims[arrow.target]
             c0 += rep.dims[arrow.source]
         mats[name] = block
@@ -325,10 +323,11 @@ class _StringCounts:
     """Sums over the positions of a string, per vertex i of the quiver:
     `dims` dim M_i, `forward` <S_i,M>, `backward` <M,S_i>, `extra`
     n_i - <S_i,M>, and `anti` sum_j dim M_j <S_i,S_j>_a, the
-    anti-symmetrised pairing of S_i with the dimension vector of M; and
-    `closure`, the support and its one-arrow neighbours."""
+    anti-symmetrised pairing of S_i with the dimension vector of M.  All
+    of them are 0 off the closure of the support (`quiver.support_closure`),
+    where n lives."""
 
-    __slots__ = ("dims", "forward", "backward", "extra", "anti", "closure")
+    __slots__ = ("dims", "forward", "backward", "extra", "anti")
 
     def __init__(self, q):
         self.dims = dict.fromkeys(q.vertices, 0)
@@ -336,7 +335,6 @@ class _StringCounts:
         self.backward = dict(self.dims)
         self.extra = dict(self.dims)
         self.anti = dict(self.dims)
-        self.closure = set()
 
     def copy(self):
         other = object.__new__(_StringCounts)
@@ -345,13 +343,13 @@ class _StringCounts:
         other.backward = dict(self.backward)
         other.extra = dict(self.extra)
         other.anti = dict(self.anti)
-        other.closure = set(self.closure)
         return other
 
     def normaliser(self, q):
         """normalisation_vector: n_i on the closure of the support."""
+        closure = support_closure(q, {i for i, d in self.dims.items() if d})
         return {i: self.forward[i] + self.extra[i] for i in q.vertices
-                if i in self.closure}
+                if i in closure}
 
 
 class _PositionCount:
@@ -379,13 +377,11 @@ class _PositionCount:
         string c add."""
         steps = c.steps
         n = len(steps)
-        forward, backward, extra = counts.forward, counts.backward, \
-            counts.extra
-        anti, closure = counts.anti, counts.closure
+        forward, backward, extra, anti = counts.forward, counts.backward, \
+            counts.extra, counts.anti
         for k in range(first, last):
             v = c.vertices[k]
             counts.dims[v] += 1
-            closure.add(v)
             forward[v] += 1
             backward[v] += 1
             # the steps at position k: step k - 1 on its left and step k
@@ -397,7 +393,6 @@ class _PositionCount:
             extra[v] += (bool(right and right.forward) +
                          bool(left and not left.forward) - 1)
             for name, source, rests in self.into[v]:
-                closure.add(source)
                 anti[source] -= 1
                 if not (rests and any(_walks(steps, k, p, True)
                                       for p in rests)):
@@ -405,7 +400,6 @@ class _PositionCount:
                 if name not in used:
                     extra[source] += 1
             for name, target, rests in self.out_of[v]:
-                closure.add(target)
                 anti[target] += 1
                 if not (rests and any(_walks(steps, k, p, False)
                                       for p in rests)):

@@ -13,8 +13,8 @@ group order on Z^n, so `exact_div` divides Laurent polynomials directly
 packed exponent vectors", CASC 2007).
 
 Names appear only at the edges: `monomials`, `text`, JSON, `coefficient`,
-`variables`, `as_unit` and `substitute` decode the keys and sort by name,
-so no output depends on the intern order.
+`as_unit` and `substitute` decode the keys and sort by name, so no output
+depends on the intern order.
 
 Every exponent lies within +-EXPONENT_LIMIT (2**29 - 1).  Each polynomial
 carries a bound on the absolute value of its exponents, and an operation
@@ -29,8 +29,7 @@ from __future__ import annotations
 import json
 import operator
 
-from .errors import ExponentOverflow, NotDivisible, NotInvertible, \
-    NotSubtractionFree
+from .errors import ExponentOverflow, NotDivisible, NotInvertible
 
 _FIELD_BITS = 32
 _HALF = 1 << (_FIELD_BITS - 1)
@@ -174,12 +173,6 @@ class LaurentPoly:
         {var: exp} dict sorted by variable name."""
         for key, coeff in self.terms.items():
             yield _unpack(key), coeff
-
-    def variables(self):
-        vs = set()
-        for exps, _coeff in self.monomials():
-            vs.update(exps)
-        return vs
 
     def as_unit(self):
         """Return (coeff, {var: exp}) if self is a single term with
@@ -414,30 +407,6 @@ class LaurentPoly:
         rest = LaurentPoly({k - eta: c for k, c in self.terms.items()},
                            self.bound)
         return _unpack(eta), rest
-
-    def tropical_min_eval(self, frozen):
-        """Evaluate in the tropical semifield over the frozen variables.
-
-        Unfrozen variables are set to 1 and addition becomes componentwise
-        min of frozen exponent vectors.  Returns the resulting monomial as a
-        {var: exp} dict.
-        """
-        if self.is_zero():
-            raise ValueError("tropical evaluation of the zero polynomial")
-        if not self.is_nonnegative():
-            raise NotSubtractionFree(
-                f"{self} has a negative coefficient")
-        mins = None
-        for exps, _coeff in self.monomials():
-            exps = {v: e for v, e in exps.items() if v in frozen}
-            if mins is None:
-                mins = exps
-            else:
-                merged = {}
-                for v in set(mins) | set(exps):
-                    merged[v] = min(mins.get(v, 0), exps.get(v, 0))
-                mins = merged
-        return {v: e for v, e in mins.items() if e != 0}
 
     # -- canonical output ----------------------------------------------------
 

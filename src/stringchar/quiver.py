@@ -227,18 +227,10 @@ class Walk:
         if self.steps:
             if at is not None:
                 raise QuiverError("a nonempty walk has no separate base vertex")
-            vertices = []
-            for index, step in enumerate(self.steps, start=1):
-                arrow = quiver.arrow(step.arrow)
-                src = arrow.source if step.forward else arrow.target
-                tgt = arrow.target if step.forward else arrow.source
-                if not vertices:
-                    vertices.append(src)
-                elif vertices[-1] != src:
-                    raise QuiverError(
-                        f"walk is not composable at step {index}: "
-                        f"{vertices[-1]!r} != {src!r}")
-                vertices.append(tgt)
+            vertices = list(_step_ends(quiver, self.steps[0]))
+            for index, step in enumerate(self.steps[1:], start=2):
+                vertices.append(_step_ends(quiver, step, vertices[-1],
+                                           index)[1])
             self.vertices = tuple(vertices)
         else:
             if at is None:
@@ -277,13 +269,8 @@ class Walk:
     def extend(self, step):
         """This walk followed by one more step; only the new junction is
         checked."""
-        arrow = self.quiver.arrow(step.arrow)
-        source, target = (arrow.source, arrow.target) if step.forward \
-            else (arrow.target, arrow.source)
-        if source != self.target:
-            raise QuiverError(
-                f"walk is not composable at step {len(self.steps) + 1}: "
-                f"{self.target!r} != {source!r}")
+        _source, target = _step_ends(self.quiver, step, self.target,
+                                     len(self.steps) + 1)
         walk = object.__new__(Walk)
         walk.quiver = self.quiver
         walk.steps = self.steps + (step,)
@@ -322,26 +309,42 @@ class Walk:
                 " " not in stripped:
             vertex = stripped[2:-1]
             if vertex not in quiver.vertex_set:
+                # the vertex follows "e(" after the leading blanks
                 raise InputParseError(
-                    f"unknown vertex {vertex!r} in trivial walk",
-                    line=1, column=3)
+                    f"unknown vertex {vertex!r} in trivial walk", line=1,
+                    column=len(text) - len(text.lstrip()) + 3)
             return cls.trivial(quiver, vertex)
         steps = []
-        column = 1
+        end = 0
         for token in text.split():
-            column = text.index(token, column - 1) + 1
+            start = text.index(token, end)
+            end = start + len(token)
             if token.endswith("^-1"):
                 name, forward = token[:-3], False
             else:
                 name, forward = token, True
             if name not in quiver.arrows:
                 raise InputParseError(
-                    f"unknown arrow {name!r} in walk", line=1, column=column)
+                    f"unknown arrow {name!r} in walk", line=1,
+                    column=start + 1)
             steps.append(Step(name, forward))
         try:
             return cls(quiver, steps)
         except QuiverError as exc:
             raise InputParseError(str(exc), line=1) from exc
+
+
+def _step_ends(quiver, step, end=None, index=1):
+    """The (source, target) of a step; raises QuiverError unless the
+    step, the 1-based index-th of its walk, starts at the end of the walk
+    before it (any vertex for the first step)."""
+    arrow = quiver.arrow(step.arrow)
+    source, target = (arrow.source, arrow.target) if step.forward \
+        else (arrow.target, arrow.source)
+    if end is not None and source != end:
+        raise QuiverError(f"walk is not composable at step {index}: "
+                          f"{end!r} != {source!r}")
+    return source, target
 
 
 @dataclass(frozen=True)
@@ -490,10 +493,6 @@ class Representation:
             rows = self.dims[arrow.target]
         return product
 
-    @property
-    def dim_vector(self):
-        return dict(self.dims)
-
     def support(self):
         return {v for v, d in self.dims.items() if d > 0}
 
@@ -549,16 +548,23 @@ def principal_extension(q):
     return BoundIceQuiver(vertices, arrows, frozen, q.relations)
 
 
-def closure_and_border(q, rep):
-    """Full subquiver on the support of rep plus its one-arrow neighbours,
-    and the border (closure minus support)."""
-    support = rep.support()
+def support_closure(q, support):
+    """The closure of a set of vertices: the set and its one-arrow
+    neighbours."""
     closure = set(support)
     for arrow in q.arrows.values():
         if arrow.source in support:
             closure.add(arrow.target)
         if arrow.target in support:
             closure.add(arrow.source)
+    return closure
+
+
+def closure_and_border(q, rep):
+    """Full subquiver on the closure of the support of rep, and the border
+    (closure minus support)."""
+    support = rep.support()
+    closure = support_closure(q, support)
     return q.full_subquiver(closure), frozenset(closure - support)
 
 
@@ -616,11 +622,6 @@ class Winding:
             out[self.vertex_map[w]] += d
         return out
 
-    def substitution(self):
-        """Variable assignment x_w -> x_{image(w)} as Laurent polynomials."""
-        from .laurent import LaurentPoly
-        return {w: LaurentPoly.var(img) for w, img in self.vertex_map.items()}
-
 
 def pushforward(phi, rep):
     """Direct sum of fibres: block matrices in the sorted preimage order."""
@@ -640,12 +641,8 @@ def pushforward(phi, rep):
         block = exactmat.zeros(dims[arrow.target], dims[arrow.source])
         for b in phi.arrow_preimages(name):
             src = phi.source.arrow(b)
-            sub = rep.mats[b]
-            r0 = offsets[src.target]
-            c0 = offsets[src.source]
-            for i, row in enumerate(sub):
-                for j, x in enumerate(row):
-                    block[r0 + i][c0 + j] = x
+            exactmat.set_block(block, rep.mats[b], offsets[src.target],
+                               offsets[src.source])
         mats[name] = block
     return Representation(phi.target, dims, mats, check_relations=False)
 

@@ -72,7 +72,10 @@ def sweep(q, max_length):
     made.  Before the first string the quiver must be loop- and
     2-cycle-free (QuiverError) with a finite-dimensional path algebra
     (PathLimitExceeded); a string whose pairings do not descend to its
-    dimension vector raises K0IllDefined when its turn comes."""
+    dimension vector raises K0IllDefined when its turn comes.
+
+    A string holds when T x^(n - <S_.,M> + dim M) == N_c.  The exponent is
+    `extra` + `dims` of its counts, so no normalising vector is built."""
     if q.unfrozen_vertices:
         _require_loop_free(q)
         path_basis(q)
@@ -106,9 +109,7 @@ def sweep(q, max_length):
         _check_descent(q, c, counts)
         numerator = walk_end(q, vector, c.target,
                              c.steps[-1].arrow if n else None)
-        # X x^n == L is T x^(n - <S_.,M> + dim M) == N; <S_i,M> and
-        # dim M_i are 0 off the closure of the support, where n lives
-        shift = {i: e - counts.forward[i] + counts.dims[i]
-                 for i, e in counts.normaliser(q).items()}
+        # extra and dims are 0 off the closure of the support, where n lives
+        shift = {i: e + counts.dims[i] for i, e in counts.extra.items()}
         holds = transfer[2] * LaurentPoly.monomial(1, shift) == numerator
         yield Swept(q, c, counts, transfer[2], numerator, holds)

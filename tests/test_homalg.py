@@ -110,22 +110,62 @@ def test_path_basis_respects_relations():
     assert basis.paths["3"] == [(), ("gamma",)]
 
 
+def _two_cycle():
+    """The relation-free 2-cycle, whose path algebra is infinite."""
+    return BoundIceQuiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
+
+
+def _long_relation_cycle():
+    """The 3-cycle a b c with one relation of length 40."""
+    relation = [("a", "b", "c")[k % 3] for k in range(40)]
+    return BoundIceQuiver(["1", "2", "3"],
+                          [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1")],
+                          relations=[relation])
+
+
+def _every_window_paths(q):
+    """PathBasis.paths by the same breadth-first growth and bound, but
+    testing every window of every extended path for a relation."""
+    bound = len(q.vertices) + sum(len(r) for r in q.relations)
+    paths = {v: [()] for v in q.vertices}
+    frontier = {v: [()] for v in q.vertices}
+    for _length in range(bound):
+        grown = {v: [] for v in q.vertices}
+        for v, ends in frontier.items():
+            for path in ends:
+                end = q.arrow(path[-1]).target if path else v
+                for arrow in q.arrows_from(end):
+                    longer = path + (arrow.name,)
+                    if not any(longer[i:i + len(rel)] == rel
+                               for rel in q.relations
+                               for i in range(len(longer) - len(rel) + 1)):
+                        grown[v].append(longer)
+                        paths[v].append(longer)
+        frontier = grown
+    if any(frontier.values()):
+        raise PathLimitExceeded(f"a path of length {bound} avoids every "
+                                "relation")
+    return paths
+
+
 def test_path_basis_detects_infinite_algebras():
-    cyclic = BoundIceQuiver(["1", "2"],
-                            [("a", "1", "2"), ("b", "2", "1")])
     with pytest.raises(PathLimitExceeded,
                        match="from vertex '1' .* is infinite dimensional"):
-        PathBasis(cyclic)
+        PathBasis(_two_cycle())
+
+
+def test_path_basis_matches_the_every_window_oracle():
+    for q in fixture_quivers() + _hand_built_quivers() + \
+            [_long_relation_cycle()]:
+        assert PathBasis(q).paths == _every_window_paths(q), q.relations
+    with pytest.raises(PathLimitExceeded):
+        _every_window_paths(_two_cycle())
 
 
 def test_path_basis_of_a_long_relation_on_a_cycle():
     # finite, with paths longer than any fixed multiple of the arrow count:
     # the longest surviving path has length 41, below the exact bound 43
-    relation = [("a", "b", "c")[k % 3] for k in range(40)]
-    q = BoundIceQuiver(["1", "2", "3"],
-                       [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1")],
-                       relations=[relation])
-    basis = PathBasis(q)
+    basis = PathBasis(_long_relation_cycle())
     assert max(len(p) for paths in basis.paths.values() for p in paths) == 41
     assert sum(len(paths) for paths in basis.paths.values()) == 123
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from stringchar import ExponentOverflow, LaurentPoly, Mat2, NotDivisible, \
-    NotInvertible, NotSubtractionFree, StringCharError
+    NotInvertible, StringCharError
 from stringchar.laurent import EXPONENT_LIMIT
 
 
@@ -321,18 +321,6 @@ def test_monomial_content():
         LaurentPoly.zero().monomial_content()
     with pytest.raises(ValueError):
         (x ** -1).monomial_content()
-
-
-def test_tropical_min_eval():
-    x, y = LaurentPoly.var("x"), LaurentPoly.var("y")
-    f = x ** 2 * y + x ** -1
-    assert f.tropical_min_eval({"x"}) == {"x": -1}
-    assert f.tropical_min_eval({"x", "y"}) == {"x": -1}
-    assert (x + y).tropical_min_eval({"y"}) == {}
-    with pytest.raises(NotSubtractionFree):
-        (x - y).tropical_min_eval({"x"})
-    with pytest.raises(ValueError):
-        LaurentPoly.zero().tropical_min_eval({"x"})
 
 
 def test_is_nonnegative():

@@ -152,6 +152,22 @@ def test_walk_parse_errors():
         Walk(q, (Step("alpha", True),), at="1")
 
 
+@pytest.mark.parametrize("name, text, column", [
+    ("a2", "nosuch", 1),
+    # a later token found inside an earlier one is still placed after it
+    ("a2", "alpha alph", 7),
+    ("kronecker2", "al1 al1^-1 al1 l", 16),
+    ("a2", "  alpha  alphx", 10),
+    # the column of an unknown vertex counts the leading blanks
+    ("a2", "e(9)", 3),
+    ("a2", "   e(9)", 6),
+])
+def test_walk_parse_errors_name_the_column(name, text, column):
+    with pytest.raises(InputParseError) as info:
+        Walk.parse(load(name), text)
+    assert info.value.column == column
+
+
 # -- string validation --------------------------------------------------------
 
 def test_backtracking_is_not_a_string():
@@ -433,8 +449,11 @@ def test_extend_checks_the_junction():
     backtrack = c.extend(Step("alpha", False))
     assert backtrack == Walk(q, (Step("alpha", True), Step("alpha", False)))
     assert backtrack.vertices == ("1", "2", "1")
-    with pytest.raises(QuiverError):
+    with pytest.raises(QuiverError) as extended:
         c.extend(Step("gamma", True))
+    with pytest.raises(QuiverError) as built:
+        Walk(q, (Step("alpha", True), Step("gamma", True)))
+    assert str(extended.value) == str(built.value)
 
 
 def test_enumerate_strings_is_deterministic():
