@@ -22,13 +22,13 @@ def set_block(m, sub, row, col):
         m[i][col:col + len(line)] = line
 
 
-def mat_mul(a, b, inner=None):
-    """a (r x k) times b (k x c); pass inner=k when a has zero rows."""
+def mat_mul(a, b, cols=0):
+    """a (r x k) times b (k x c); pass cols=c when b has zero rows."""
     r = len(a)
-    k = len(a[0]) if a else (inner if inner is not None else len(b))
-    c = len(b[0]) if b else 0
-    if k != len(b) and b:
-        raise ValueError(f"shape mismatch: {r}x{k} times {len(b)}x{c}")
+    k = len(b)
+    c = len(b[0]) if b else cols
+    if a and len(a[0]) != k:
+        raise ValueError(f"shape mismatch: {r}x{len(a[0])} times {k}x{c}")
     out = zeros(r, c)
     for i in range(r):
         for j in range(c):

@@ -5,8 +5,9 @@ exchange-style identity checks.
 The numerator N_c of L_c is the bracket [1,1] M [1;1] of a product M of
 2x2 step and vertex matrices.  `walk_numerator` evaluates it as a row
 vector carried along the walk, with three products by a cached monomial
-per step (`walk_step`); `walk_matrix` forms the full product and is kept
-as its oracle."""
+per step (`walk_step`), and `walk_count` folds the same step rule at
+weight 1; `walk_matrix` forms the full product and is kept as its
+oracle."""
 
 from __future__ import annotations
 
@@ -26,40 +27,21 @@ def step_matrix(q, step):
     return Mat2(xt, 1, 0, xs)
 
 
-def _vertex_exponents(q, v, excluded):
-    """Exponents of the diagonal entries (top, bottom) of the vertex matrix
-    at v, as {vertex: exponent} dicts.  Every arrow incident to v
-    contributes (top: x of its target for an arrow out of v; bottom: x of
-    its source for an arrow into v), except the arrows in excluded, those
-    of the walk's steps on either side of v."""
-    top, bottom = {}, {}
-    for arrow in q.arrows_from(v):
-        if arrow.name not in excluded:
-            top[arrow.target] = top.get(arrow.target, 0) + 1
-    for arrow in q.arrows_to(v):
-        if arrow.name not in excluded:
-            bottom[arrow.source] = bottom.get(arrow.source, 0) + 1
-    return top, bottom
-
-
 def vertex_matrix(q, c, i):
     """Diagonal contribution of the i-th walk vertex (1-based i in
     1..length+1).  Arrows used by the walk at positions i-1 and i are
     excluded; everything else incident to v_i contributes."""
     if not 1 <= i <= c.length + 1:
         raise QuiverError(f"vertex index {i} out of range 1..{c.length + 1}")
-    top, bottom = _vertex_exponents(
-        q, c.vertices[i - 1], (c.step_arrow(i - 1), c.step_arrow(i)))
-    return Mat2.diagonal(LaurentPoly.monomial(1, top),
-                         LaurentPoly.monomial(1, bottom))
+    top, bottom = _vertex_monomials(q, c.vertices[i - 1], c.step_arrow(i - 1),
+                                    c.step_arrow(i))[:2]
+    return Mat2.diagonal(top, bottom)
 
 
 def walk_matrix(q, c):
     """The full 2x2 product V_c(1) A(c_1) V_c(2) ... A(c_n) V_c(n+1).  Its
     bracket is N_c; `walk_numerator` computes that without the matrix, and
     the tests use this product as its oracle."""
-    if c.quiver is not q:
-        c = c.on(q)
     product = vertex_matrix(q, c, 1)
     for i, step in enumerate(c.steps, start=1):
         product = product * step_matrix(q, step) * vertex_matrix(q, c, i + 1)
@@ -81,7 +63,14 @@ def _vertex_monomials(q, v, before, after):
     key = v, before, after
     entry = cache.get(key)
     if entry is None:
-        top, bottom = _vertex_exponents(q, v, (before, after))
+        excluded = before, after
+        top, bottom = {}, {}
+        for arrow in q.arrows_from(v):
+            if arrow.name not in excluded:
+                top[arrow.target] = top.get(arrow.target, 0) + 1
+        for arrow in q.arrows_to(v):
+            if arrow.name not in excluded:
+                bottom[arrow.source] = bottom.get(arrow.source, 0) + 1
         entry = LaurentPoly.monomial(1, top), LaurentPoly.monomial(1, bottom)
         if after is not None:
             arrow = q.arrow(after)
@@ -93,27 +82,32 @@ def _vertex_monomials(q, v, before, after):
     return entry
 
 
-def walk_step(q, vector, v, before, step):
-    """The row vector (l, r) times V A(step), where step leaves the vertex
-    v and V is the vertex matrix there, which leaves out the arrows of
-    step and of the step before it (before, None at the start).
-
-    With x_s, x_t the variables of the step's arrow, a forward step maps
-    (l, r) to (l top x_t + r bottom, r bottom x_s) and an inverse step to
+def _advance(vector, forward, top, bottom, top_xt, bottom_xs):
+    """The row vector (l, r) times diag(top, bottom) and the step matrix of
+    a step on an arrow s -> t: a forward step maps it to
+    (l top x_t + r bottom, r bottom x_s), an inverse one to
     (l top x_t, l top + r bottom x_s)."""
-    top, bottom, top_xt, bottom_xs = _vertex_monomials(q, v, before,
-                                                       step.arrow)
     left, right = vector
-    if step.forward:
+    if forward:
         return left * top_xt + right * bottom, right * bottom_xs
     return left * top_xt, left * top + right * bottom_xs
 
 
-def walk_end(q, vector, v, before):
-    """The bracket N = l top + r bottom of the row vector (l, r) of a walk
-    that ends at v, its last step on the arrow before (None for a trivial
-    walk): the last vertex matrix and [1;1]."""
-    top, bottom = _vertex_monomials(q, v, before, None)
+def walk_step(q, vector, c, i):
+    """The row vector (l, r) times V_c(i) A(c_i) for the 1-based step i of
+    the walk c.  V_c(i) leaves out the arrows of the steps i-1 and i, so it
+    is known only once the step after v_i is."""
+    step = c.steps[i - 1]
+    top, bottom, top_xt, bottom_xs = _vertex_monomials(
+        q, c.vertices[i - 1], c.step_arrow(i - 1), step.arrow)
+    return _advance(vector, step.forward, top, bottom, top_xt, bottom_xs)
+
+
+def walk_end(q, vector, c):
+    """The bracket N = l top + r bottom of the row vector (l, r) of the
+    walk c with its last vertex matrix and [1;1]."""
+    top, bottom = _vertex_monomials(q, c.target, c.step_arrow(len(c.steps)),
+                                    None)
     left, right = vector
     return left * top + right * bottom
 
@@ -124,17 +118,12 @@ def walk_numerator(q, c):
     The bracket is evaluated as a row vector (l, r) carried along the walk
     from [1,1]: each step multiplies it by the vertex matrix where the step
     starts and by the step matrix (`walk_step`), and N_c is the bracket with
-    the last vertex matrix (`walk_end`).  The vertex matrix at v_i leaves
-    out the arrows of the steps i-1 and i, so it is known only once the
-    step after v_i is.
+    the last vertex matrix (`walk_end`).
     """
-    if c.quiver is not q:
-        c = c.on(q)
-    vector, before = (1, 1), None
-    for v, step in zip(c.vertices, c.steps):
-        vector = walk_step(q, vector, v, before, step)
-        before = step.arrow
-    return walk_end(q, vector, c.target, before)
+    vector = 1, 1
+    for i in range(1, c.length + 1):
+        vector = walk_step(q, vector, c, i)
+    return walk_end(q, vector, c)
 
 
 def walk_denominator(q, c):
@@ -159,17 +148,12 @@ def numerator_normalisation(q, c):
 
 
 def walk_count(c):
-    """l_c: the integer matrix-product count (2 for trivial walks), carried
-    as the row vector of `walk_numerator` with every variable set to 1."""
-    left = right = 1
+    """l_c: the integer matrix-product count (2 for trivial walks), the row
+    vector of `walk_numerator` with every variable set to 1."""
+    vector = 1, 1
     for step in c.steps:
-        if step.forward:
-            # times [[1, 0], [1, 1]]
-            left += right
-        else:
-            # times [[1, 1], [0, 1]]
-            right += left
-    return left + right
+        vector = _advance(vector, step.forward, 1, 1, 1, 1)
+    return sum(vector)
 
 
 def frieze_entry(word):
@@ -211,17 +195,16 @@ def frieze_entry(word):
 def coefficient_monomial(q, i, kind):
     """y_i (kind='y': frozen arrows into i) or z_i (kind='z': frozen arrows
     out of i) as a monomial in the frozen variables."""
-    exps = {}
     if kind == "y":
-        for arrow in q.arrows_to(i):
-            if arrow.source in q.frozen:
-                exps[arrow.source] = exps.get(arrow.source, 0) + 1
+        ends = [arrow.source for arrow in q.arrows_to(i)]
     elif kind == "z":
-        for arrow in q.arrows_from(i):
-            if arrow.target in q.frozen:
-                exps[arrow.target] = exps.get(arrow.target, 0) + 1
+        ends = [arrow.target for arrow in q.arrows_from(i)]
     else:
         raise ValueError(f"kind must be 'y' or 'z', got {kind!r}")
+    exps = {}
+    for v in ends:
+        if v in q.frozen:
+            exps[v] = exps.get(v, 0) + 1
     return LaurentPoly.monomial(1, exps)
 
 

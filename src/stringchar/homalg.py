@@ -12,32 +12,60 @@ from . import exactmat
 from .errors import PathLimitExceeded, QuiverError
 from .quiver import Representation, ensure_string, simple, support_closure
 
+_finite = weakref.WeakSet()
+
+
+def _require_finite(q):
+    """Raise PathLimitExceeded unless the path algebra of q is finite
+    dimensional; the verdict is kept per quiver.
+
+    A relation-avoiding path is in one of fewer than `bound` states of the
+    relation-matching automaton (its end vertex and the longest proper
+    relation prefix it ends in), so one of length `bound` can be pumped
+    forever.  Its extensions depend on its state alone, so the states and
+    start vertices, not the paths, are grown for `bound` rounds."""
+    if q in _finite:
+        return
+    bound = len(q.vertices) + sum(len(r) for r in q.relations)
+    prefixes = {rel[:k] for rel in q.relations for k in range(1, len(rel))}
+    frontier = {(v, v, ()) for v in q.vertices}
+    for _length in range(bound):
+        grown = set()
+        for start, end, tail in frontier:
+            for arrow in q.arrows_from(end):
+                longer = tail + (arrow.name,)
+                if any(longer[-len(rel):] == rel for rel in q.relations):
+                    continue
+                # its longest suffix that is a proper relation prefix
+                grown.add((start, arrow.target,
+                           next((longer[k:] for k in range(len(longer))
+                                 if longer[k:] in prefixes), ())))
+        frontier = grown
+    if frontier:
+        starts = {start for start, _end, _tail in frontier}
+        start = next(v for v in q.vertices if v in starts)
+        raise PathLimitExceeded(
+            f"a path of length {bound} from vertex {start!r} avoids every "
+            "relation, so the algebra is infinite dimensional")
+    _finite.add(q)
+
+
 _path_basis_cache = weakref.WeakKeyDictionary()
 
 
 class PathBasis:
     """For each vertex, the paths starting there that avoid every relation
-    subpath; these index a basis of the indecomposable projective."""
+    subpath; these index a basis of the indecomposable projective.  They
+    stop growing because the algebra is finite (`_require_finite`)."""
 
     def __init__(self, q):
+        _require_finite(q)
         # no reference to q itself: a basis is cached under the weak key q
         self.targets = {name: arrow.target for name, arrow in q.arrows.items()}
-        # a relation-avoiding path is in one of fewer than `bound` states of
-        # the relation-matching automaton (its end vertex, or the longest
-        # proper relation prefix it ends in); a path of length `bound`
-        # repeats a state, so it can be pumped forever
-        bound = len(q.vertices) + sum(len(r) for r in q.relations)
         self.paths = {v: [()] for v in q.vertices}
         relations = set(q.relations)
         frontier = {v: [()] for v in q.vertices}
-        length = 0
         while any(frontier.values()):
-            if length == bound:
-                start = next(v for v, paths in frontier.items() if paths)
-                raise PathLimitExceeded(
-                    f"a path of length {bound} from vertex {start!r} avoids "
-                    "every relation, so the algebra is infinite dimensional")
-            length += 1
             new_frontier = {v: [] for v in q.vertices}
             for v, paths in frontier.items():
                 for path in paths:
@@ -173,7 +201,7 @@ def _relation_complex(q, m, n):
     """(dimension of the space of arrow maps, rank of d1) for the relation
     complex of ext1_dim."""
     # only finite-dimensional algebras are in scope
-    path_basis(q)
+    _require_finite(q)
     offsets = {}
     total = 0
     for name, arrow in q.arrows.items():
@@ -311,9 +339,9 @@ def normalisation_vector(q, c):
 
 def _string_pass(q, c):
     """The `_StringCounts` of the string c on q: one pass over its
-    positions."""
-    # only finite-dimensional algebras are in scope
-    path_basis(q)
+    positions, once the algebra is known to be finite dimensional
+    (`_require_finite`), the only algebras in scope."""
+    _require_finite(q)
     counts = _StringCounts(q)
     _PositionCount(q).add(counts, c, 0, len(c.vertices))
     return counts

@@ -490,20 +490,11 @@ class Mat2:
                     self.c * other.a + self.d * other.c,
                     self.c * other.b + self.d * other.d)
 
-    def __add__(self, other):
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        return Mat2(self.a + other.a, self.b + other.b,
-                    self.c + other.c, self.d + other.d)
-
     def __eq__(self, other):
         if not isinstance(other, Mat2):
             return NotImplemented
         return (self.a, self.b, self.c, self.d) == (other.a, other.b,
                                                     other.c, other.d)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
 
     def det(self):
         return self.a * self.d - self.b * self.c

@@ -314,7 +314,7 @@ class Walk:
                     f"unknown vertex {vertex!r} in trivial walk", line=1,
                     column=len(text) - len(text.lstrip()) + 3)
             return cls.trivial(quiver, vertex)
-        steps = []
+        steps, columns = [], []
         end = 0
         for token in text.split():
             start = text.index(token, end)
@@ -328,10 +328,15 @@ class Walk:
                     f"unknown arrow {name!r} in walk", line=1,
                     column=start + 1)
             steps.append(Step(name, forward))
-        try:
-            return cls(quiver, steps)
-        except QuiverError as exc:
-            raise InputParseError(str(exc), line=1) from exc
+            columns.append(start + 1)
+        walk = cls(quiver, steps[:1])
+        for step, column in zip(steps[1:], columns[1:]):
+            try:
+                walk = walk.extend(step)
+            except QuiverError as exc:
+                raise InputParseError(str(exc), line=1,
+                                      column=column) from exc
+        return walk
 
 
 def _step_ends(quiver, step, end=None, index=1):
@@ -480,17 +485,12 @@ class Representation:
     def path_matrix(self, path):
         """Composite matrix of a left-to-right composable arrow path."""
         first = self.quiver.arrow(path[0])
-        cols = self.dims[first.source]
-        rows = self.dims[first.target]
-        product = self.mats[path[0]]
+        product = self.mats[first.name]
         for name in path[1:]:
+            # an unknown arrow raises QuiverError, not KeyError
             arrow = self.quiver.arrow(name)
-            if rows == 0:
-                product = exactmat.zeros(self.dims[arrow.target], cols)
-            else:
-                product = exactmat.mat_mul(self.mats[name], product,
-                                           inner=rows)
-            rows = self.dims[arrow.target]
+            product = exactmat.mat_mul(self.mats[arrow.name], product,
+                                       self.dims[first.source])
         return product
 
     def support(self):
@@ -516,16 +516,13 @@ def string_module(q, c):
     position i sends z_i to z_{i+1}, an inverse step sends z_{i+1} to z_i.
     """
     c = ensure_string(q, c)
-    positions = {}
-    for i, v in enumerate(c.vertices, start=1):
-        positions.setdefault(v, []).append(i)
-    dims = {v: len(idx) for v, idx in positions.items()}
-    local = {}
-    for v, idx in positions.items():
-        for slot, i in enumerate(idx):
-            local[i] = slot
+    # local[k]: the slot of position k among the positions at its vertex
+    dims, local = {}, []
+    for v in c.vertices:
+        local.append(dims.get(v, 0))
+        dims[v] = local[-1] + 1
     mats = {}
-    for i, step in enumerate(c.steps, start=1):
+    for i, step in enumerate(c.steps):
         arrow = q.arrow(step.arrow)
         m = mats.setdefault(
             step.arrow,
@@ -614,13 +611,6 @@ class Winding:
 
     def arrow_preimages(self, name):
         return sorted(b for b, img in self.arrow_map.items() if img == name)
-
-    def dim_map(self, dims):
-        """Push a source dimension vector down to the target."""
-        out = {v: 0 for v in self.target.vertices}
-        for w, d in dims.items():
-            out[self.vertex_map[w]] += d
-        return out
 
 
 def pushforward(phi, rep):

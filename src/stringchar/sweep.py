@@ -25,7 +25,7 @@ from __future__ import annotations
 from .character import _character, _check_descent, _require_loop_free, \
     _weights, transfer_step
 from .formula import walk_end, walk_step
-from .homalg import _PositionCount, _StringCounts, path_basis
+from .homalg import _PositionCount, _StringCounts, _require_finite
 from .laurent import LaurentPoly
 from .quiver import string_tree
 
@@ -78,7 +78,7 @@ def sweep(q, max_length):
     `extra` + `dims` of its counts, so no normalising vector is built."""
     if q.unfrozen_vertices:
         _require_loop_free(q)
-        path_basis(q)
+        _require_finite(q)
     weight = _weights(q)
     positions = _PositionCount(q)
     reach = positions.reach
@@ -96,8 +96,7 @@ def sweep(q, max_length):
         settled = settled.copy()
         if n >= reach:
             positions.add(settled, c, n - reach, n - reach + 1)
-        return (walk_step(q, vector, c.vertices[-2],
-                          c.steps[-2].arrow if n > 1 else None, step),
+        return (walk_step(q, vector, c, n),
                 transfer_step(transfer, step.forward, weight[c.target]),
                 settled)
 
@@ -107,8 +106,7 @@ def sweep(q, max_length):
         counts = settled.copy()
         positions.add(counts, c, max(n - reach + 1, 0), n + 1)
         _check_descent(q, c, counts)
-        numerator = walk_end(q, vector, c.target,
-                             c.steps[-1].arrow if n else None)
+        numerator = walk_end(q, vector, c)
         # extra and dims are 0 off the closure of the support, where n lives
         shift = {i: e + counts.dims[i] for i, e in counts.extra.items()}
         holds = transfer[2] * LaurentPoly.monomial(1, shift) == numerator

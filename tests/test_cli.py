@@ -3,9 +3,11 @@
 import argparse
 import json
 
+import stringchar.sweep
+from stringchar import enumerate_strings
 from stringchar.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, load
 
 
 def fixture(name):
@@ -121,6 +123,25 @@ def test_verify(capsys):
     assert len(lines) == 5
 
 
+def test_verify_reports_each_failure(capsys, monkeypatch):
+    # break the walk side of the identity on the strings of length 1
+    walk_end = stringchar.sweep.walk_end
+
+    def broken(q, vector, c):
+        return walk_end(q, vector, c) + (1 if c.length == 1 else 0)
+
+    monkeypatch.setattr(stringchar.sweep, "walk_end", broken)
+    code, out, _ = run(capsys, "verify", fixture("a3"), "--max-length", "3")
+    lines = out.splitlines()
+    failed = [f"FAIL  {c}" for c in enumerate_strings(load("a3"), 1)
+              if c.length == 1]
+    assert len(failed) > 1
+    assert [line for line in lines if line.startswith("FAIL ")] == failed
+    assert len(lines) == len(enumerate_strings(load("a3"), 3)) + 1
+    assert lines[-1] == f"FAILED: {len(failed)} failure(s)"
+    assert code == 1
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "lpoly", fixture("a2"), "--walk", "nosuch")
     assert code == 2
@@ -150,6 +171,40 @@ def test_domain_error_exit_code(capsys, tmp_path):
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
         assert "PathLimitExceeded" in err, argv
+
+
+def test_infinite_algebras_fail_fast(capsys, tmp_path):
+    # every relation-avoiding path from 1 of length up to 22 is a word in
+    # the loops a and b with no a^22, so the paths grow as 2^length
+    loops = tmp_path / "loops.quiver"
+    loops.write_text("vertex 1\narrow a 1 -> 1\narrow b 1 -> 1\n"
+                     "relation" + " a" * 22 + "\n")
+    # the same growth without loops or 2-cycles: every arrow doubled on
+    # a 3-cycle, one relation of length 22 on the first copies
+    cycle = tmp_path / "cycle.quiver"
+    cycle.write_text(
+        "vertex 1\nvertex 2\nvertex 3\n"
+        + "".join(f"arrow {a}{k} {s} -> {t}\n" for a, s, t in
+                  (("a", 1, 2), ("b", 2, 3), ("c", 3, 1)) for k in (1, 2))
+        + "relation" + "".join(f" {'abc'[k % 3]}1" for k in range(22))
+        + "\n")
+    message = ("PathLimitExceeded: a path of length {} from vertex '1' "
+               "avoids every relation, so the algebra is infinite "
+               "dimensional\n")
+    commands = (("character", "--string", "e(1)"),
+                ("normalise", "--string", "e(1)"),
+                ("verify", "--max-length", "1"),
+                ("euler", "--lhs", "e(1)", "--rhs", "e(1)"))
+    for command, *rest in commands:
+        code, _, err = run(capsys, command, str(cycle), *rest)
+        assert (code, err) == (1, message.format(25)), command
+        code, _, err = run(capsys, command, str(loops), *rest)
+        if command in ("character", "verify"):
+            # their loops are rejected before the algebra is examined
+            assert (code, err) == (1, "QuiverError: cluster characters "
+                                   "need a loop- and 2-cycle-free quiver\n")
+        else:
+            assert (code, err) == (1, message.format(23)), command
 
 
 def test_k0_ill_defined_exit_code(capsys, tmp_path):

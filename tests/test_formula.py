@@ -89,7 +89,8 @@ def test_walk_laurent_positive():
 def _oracle_walks():
     """(quiver, walk) pairs for the row-vector oracle: every fixture string
     of length <= 5, walks `lpoly` takes that are not strings, walks through
-    a loop, and the caret quiver's walks."""
+    a loop, the caret quiver's walks, and walks past an arrow named as
+    the vertex it leaves."""
     for path in sorted(FIXTURES.glob("*.quiver")):
         q = BoundIceQuiver.from_file(path)
         for c in enumerate_strings(q, 5):
@@ -102,10 +103,14 @@ def _oracle_walks():
     loop = BoundIceQuiver(["1", "2"], [("a", "1", "1"), ("b", "1", "2")],
                           relations=[("a", "a")])
     caret = caret_quiver()
+    shared = BoundIceQuiver(["a", "b", "c"], [("a", "a", "b"),
+                                              ("b", "b", "c"),
+                                              ("c", "a", "c")])
     for q, texts in ((loop, ("e(1)", "a", "a^-1", "a b", "b^-1 a",
                              "a^-1 b", "a a", "b^-1 a b")),
                      (caret, ("e(u)", "e(p^q)", "r", "r^-1 q^r",
-                              "q^r^-1 r"))):
+                              "q^r^-1 r")),
+                     (shared, ("e(a)", "c", "b^-1 a^-1 c", "c^-1 a"))):
         for text in texts:
             yield q, Walk.parse(q, text)
 

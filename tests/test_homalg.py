@@ -13,7 +13,8 @@ from stringchar import BoundIceQuiver, PathBasis, PathLimitExceeded, \
     enumerate_strings, euler_forms, exactmat, ext1_dim, hereditary_euler, \
     hom_dim, is_rigid, normalisation_vector, numerator_normalisation, \
     projective, simple, simple_pairings, string_module
-from stringchar.homalg import euler_form, projective_cover_data
+from stringchar.homalg import _require_finite, euler_form, \
+    projective_cover_data
 
 from conftest import FIXTURES, caret_quiver, load
 
@@ -143,8 +144,10 @@ def _every_window_paths(q):
                         paths[v].append(longer)
         frontier = grown
     if any(frontier.values()):
-        raise PathLimitExceeded(f"a path of length {bound} avoids every "
-                                "relation")
+        start = next(v for v, ends in frontier.items() if ends)
+        raise PathLimitExceeded(
+            f"a path of length {bound} from vertex {start!r} avoids every "
+            "relation, so the algebra is infinite dimensional")
     return paths
 
 
@@ -160,6 +163,61 @@ def test_path_basis_matches_the_every_window_oracle():
         assert PathBasis(q).paths == _every_window_paths(q), q.relations
     with pytest.raises(PathLimitExceeded):
         _every_window_paths(_two_cycle())
+
+
+def _small_quivers_with_loops(rng, count):
+    """Random quivers on two or three vertices with a loop l at 0 and one
+    or two more arrows; the relations are a power of l and up to two
+    paths of length 2 or 3 found by random walks."""
+    for _ in range(count):
+        vertices = [str(k) for k in range(rng.randint(2, 3))]
+        arrows = [("l", "0", "0")] + [
+            (f"a{k}", rng.choice(vertices), rng.choice(vertices))
+            for k in range(rng.randint(1, 2))]
+        q = BoundIceQuiver(vertices, arrows)
+        relations = [["l"] * rng.randint(2, 3)]
+        for _ in range(rng.randint(0, 2)):
+            path = [rng.choice(list(q.arrows))]
+            for _ in range(rng.randint(1, 2)):
+                onward = q.arrows_from(q.arrow(path[-1]).target)
+                if onward:
+                    path.append(rng.choice(onward).name)
+            if len(path) > 1:
+                relations.append(path)
+        yield BoundIceQuiver(vertices, arrows, relations=relations)
+
+
+def test_finiteness_check_matches_the_bounded_search():
+    # _require_finite grows the states of the relation automaton where the
+    # search grows the paths, for the same number of rounds
+    rng = random.Random(14)
+    quivers = fixture_quivers() + _hand_built_quivers() + \
+        [_long_relation_cycle(), _two_cycle()] + \
+        list(_small_quivers_with_loops(rng, 150))
+    infinite = 0
+    for q in quivers:
+        try:
+            _every_window_paths(q)
+            expected = None
+        except PathLimitExceeded as exc:
+            expected = str(exc)
+            infinite += 1
+        try:
+            _require_finite(q)
+            found = None
+        except PathLimitExceeded as exc:
+            found = str(exc)
+        assert found == expected, (q.arrows, q.relations)
+    assert 20 < infinite < len(quivers) - 20
+
+
+def test_finiteness_verdict_lets_its_quiver_go():
+    q = load("a2ice")
+    _require_finite(q)
+    gone = weakref.ref(q)
+    del q
+    gc.collect()
+    assert gone() is None
 
 
 def test_path_basis_of_a_long_relation_on_a_cycle():

@@ -377,4 +377,3 @@ def test_mat2_operations():
     assert left == x
     assert right == 1 + x * y
     assert Mat2.diagonal(x, y) == Mat2(x, 0, 0, y)
-    assert m + n == Mat2(x + y, 1, 1, x + y)

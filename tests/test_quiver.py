@@ -161,6 +161,11 @@ def test_walk_parse_errors():
     # the column of an unknown vertex counts the leading blanks
     ("a2", "e(9)", 3),
     ("a2", "   e(9)", 6),
+    # a step that does not compose is placed at its own token, but an
+    # unknown arrow anywhere is reported first
+    ("a2", "alpha alpha", 7),
+    ("kronecker2", "al1^-1  al2 al1", 13),
+    ("a2", "alpha alpha nosuch", 13),
 ])
 def test_walk_parse_errors_name_the_column(name, text, column):
     with pytest.raises(InputParseError) as info:
@@ -296,7 +301,6 @@ def test_winding_validation():
     phi = Winding.identity(q)
     assert phi.vertex_preimages("1") == ["1"]
     assert phi.arrow_preimages("alpha") == ["alpha"]
-    assert phi.dim_map({"1": 2, "2": 1}) == {"1": 2, "2": 1}
     with pytest.raises(QuiverError):
         Winding(q, q, {"1": "9", "2": "2"}, {"alpha": "alpha"})
     with pytest.raises(QuiverError):
