@@ -1,6 +1,6 @@
 """Homological algebra over monomial bound quiver algebras: projectives via
-path bases, Hom by exact elimination, Ext^1 from the relation complex, Euler
-forms and rigidity; and, in one pass over a string with no linear algebra,
+path bases, Hom by exact elimination, Euler forms from the relation complex,
+Ext^1 as Hom minus the Euler form, and rigidity; and, in one pass over a string with no linear algebra,
 the pairings of its module with the simples and its normalising vector."""
 
 from __future__ import annotations
@@ -197,9 +197,24 @@ def projective_cover_data(q, m):
     return cover, proj
 
 
-def _relation_complex(q, m, n):
-    """(dimension of the space of arrow maps, rank of d1) for the relation
-    complex of ext1_dim."""
+def ext1_dim(q, m, n):
+    """dim Ext^1(m, n) = dim Hom(m, n) - <m, n>."""
+    return hom_dim(q, m, n) - euler_form(q, m, n)
+
+
+def euler_form(q, m, n):
+    """The truncated Euler form <m,n> = dim Hom(m,n) - dim Ext^1(m,n), from
+    the relation complex.
+
+    An extension of m by n is a choice of f_a: m(s(a)) -> n(t(a)) per arrow
+    a, allowed when every relation still composes to zero on the direct sum
+    of n and m.  On the relation a_1 ... a_k that composite is the linear map
+    d1(f) = sum_l n(a_{l+1} ... a_k) f_{a_l} m(a_1 ... a_{l-1}).  The split
+    extensions are the f_a = g_t m(a) - n(a) g_s for vertex maps g, a space
+    of dimension sum_v dim m(v) dim n(v) - dim Hom(m, n).  So the Hom terms
+    cancel, leaving sum_v dim m(v) dim n(v) minus the dimension of the arrow
+    maps plus the rank of d1.
+    """
     # only finite-dimensional algebras are in scope
     _require_finite(q)
     offsets = {}
@@ -242,31 +257,8 @@ def _relation_complex(q, m, n):
                            Fraction(0)) for k in range(n.dims[arrow.source])]
                       for left in suffix]
         rows.extend(row for line in block for row in line)
-    return total, exactmat.rank(rows, total)
-
-
-def ext1_dim(q, m, n):
-    """dim Ext^1(m, n) from the relation complex.
-
-    An extension of m by n is a choice of f_a: m(s(a)) -> n(t(a)) per arrow
-    a, allowed when every relation still composes to zero on the direct sum
-    of n and m.  On the relation a_1 ... a_k that composite is the linear map
-    d1(f) = sum_l n(a_{l+1} ... a_k) f_{a_l} m(a_1 ... a_{l-1}).  The split
-    extensions are the f_a = g_t m(a) - n(a) g_s for vertex maps g, a space
-    of dimension sum_v dim m(v) dim n(v) - dim Hom(m, n).
-    """
-    total, rank = _relation_complex(q, m, n)
-    split = sum(m.dims[v] * n.dims[v] for v in q.vertices) - hom_dim(q, m, n)
-    return total - rank - split
-
-
-def euler_form(q, m, n):
-    """The truncated Euler form <m,n> = dim Hom(m,n) - dim Ext^1(m,n).
-
-    The Hom term of ext1_dim cancels, leaving sum_v dim m(v) dim n(v) minus
-    the dimension of the arrow maps plus the rank of d1."""
-    total, rank = _relation_complex(q, m, n)
-    return sum(m.dims[v] * n.dims[v] for v in q.vertices) - total + rank
+    return sum(m.dims[v] * n.dims[v] for v in q.vertices) - total + \
+        exactmat.rank(rows, total)
 
 
 def euler_forms(q, m, n):

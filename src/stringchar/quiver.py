@@ -42,6 +42,13 @@ class BoundIceQuiver:
             arrow = entry if isinstance(entry, Arrow) else Arrow(*entry)
             if not isinstance(arrow.name, str):
                 raise QuiverError(f"arrow name {arrow.name!r} is not a string")
+            # Walk.parse splits a walk at blanks, reads a trailing ^-1 as an
+            # inverse step and e(...) as a trivial walk
+            if arrow.name.split() != [arrow.name] or \
+                    arrow.name.endswith("^-1") or \
+                    arrow.name.startswith("e(") and arrow.name.endswith(")"):
+                raise QuiverError(
+                    f"arrow name {arrow.name!r} would be read as another walk")
             if arrow.name in self.arrows:
                 raise QuiverError(f"duplicate arrow id {arrow.name!r}")
             if arrow.source not in self.vertex_set:
@@ -363,72 +370,54 @@ class StringViolation:
         return self.message
 
 
-def _backtrack(index):
-    """The violation of a step (1-based index) undone by the next one."""
-    return StringViolation(
-        "backtrack", index, (),
-        f"step {index} is immediately undone by step {index + 1}")
-
-
-def _relation_violation(rel, window, index):
-    """The violation if the steps of window, the first of them at the
-    1-based index, spell the relation rel read forward or inverted."""
-    if all(s.forward for s in window) and \
-            tuple(s.arrow for s in window) == rel:
-        return StringViolation(
-            "relation", index, rel,
-            f"steps {index}..{index + len(rel) - 1} spell the relation "
-            f"{' '.join(rel)}")
-    if all(not s.forward for s in window) and \
-            tuple(s.arrow for s in reversed(window)) == rel:
-        return StringViolation(
-            "relation", index, rel,
-            f"steps {index}..{index + len(rel) - 1} spell the inverse of the "
-            f"relation {' '.join(rel)}")
-    return None
-
-
 def validate_string(q, c):
-    """Return None if the walk c is a string in q, else a violation report.
+    """Return None if the walk c is a string in q, else the first violation
+    along it.
 
     A string has no immediate backtracking and no contiguous subwalk equal,
-    read forward or inverted, to a relation path.
+    read forward or inverted, to a relation path.  The check folds
+    `extension_violation` over the walk, step i + 1 against steps 1..i, so
+    the violation reported is the first along the walk: one whose window
+    ends first, a backtrack before a relation.
     """
     if c.quiver is not q and c.steps:
         c = c.on(q)
     steps = c.steps
-    for i in range(len(steps) - 1):
-        if steps[i].arrow == steps[i + 1].arrow and \
-                steps[i].forward != steps[i + 1].forward:
-            return _backtrack(i + 1)
-    for rel in q.relations:
-        k = len(rel)
-        for i in range(len(steps) - k + 1):
-            violation = _relation_violation(rel, steps[i:i + k], i + 1)
-            if violation is not None:
-                return violation
+    for i, step in enumerate(steps):
+        violation = extension_violation(q, steps[:i], step)
+        if violation is not None:
+            return violation
     return None
 
 
 def extension_violation(q, steps, step):
     """The violation of the walk steps + (step,) on the windows that end at
     its last step: a backtrack, or a relation read forward or inverted.
-    When steps is a string, that is validate_string of the longer walk, so
-    a string is extended by checking these windows alone."""
-    last = steps[-1] if steps else None
+    validate_string folds it over the steps of a walk, so a string is
+    extended by checking these windows alone."""
     n = len(steps) + 1
-    if last is not None and last.arrow == step.arrow and \
-            last.forward != step.forward:
-        return _backtrack(n - 1)
+    if steps and steps[-1].arrow == step.arrow and \
+            steps[-1].forward != step.forward:
+        return StringViolation(
+            "backtrack", n - 1, (),
+            f"step {n - 1} is immediately undone by step {n}")
     for rel in q.relations:
         k = len(rel)
         # a window ending at step spells rel forward only if step is its
         # last arrow, and inverted only if step is its first
-        if k <= n and rel[-1 if step.forward else 0] == step.arrow:
-            violation = _relation_violation(rel, steps[n - k:] + (step,),
-                                            n - k + 1)
-            if violation is not None:
-                return violation
+        if k > n or rel[-1 if step.forward else 0] != step.arrow:
+            continue
+        window = steps[n - k:] + (step,)
+        names = tuple(s.arrow for s in window)
+        if all(s.forward for s in window) and names == rel:
+            spelled = "the relation"
+        elif not any(s.forward for s in window) and names[::-1] == rel:
+            spelled = "the inverse of the relation"
+        else:
+            continue
+        return StringViolation(
+            "relation", n - k + 1, rel,
+            f"steps {n - k + 1}..{n} spell {spelled} {' '.join(rel)}")
     return None
 
 
@@ -538,11 +527,18 @@ def principal_extension(q):
     """Add one frozen vertex v' and one arrow v' -> v per vertex v."""
     if q.frozen:
         raise QuiverError("principal extension expects no frozen vertices")
-    vertices = list(q.vertices) + [f"{v}'" for v in q.vertices]
-    arrows = list(q.arrows.values()) + \
-        [(f"{v}'", f"{v}'", v) for v in q.vertices]
     frozen = [f"{v}'" for v in q.vertices]
-    return BoundIceQuiver(vertices, arrows, frozen, q.relations)
+    for v, primed in zip(q.vertices, frozen):
+        for kind, names in (("vertex", q.vertex_set), ("arrow", q.arrows)):
+            if primed in names:
+                raise QuiverError(
+                    f"principal extension: the frozen vertex and arrow "
+                    f"{primed!r} added for vertex {v!r} clash with the "
+                    f"{kind} {primed!r}")
+    arrows = list(q.arrows.values()) + \
+        [(primed, primed, v) for v, primed in zip(q.vertices, frozen)]
+    return BoundIceQuiver(list(q.vertices) + frozen, arrows, frozen,
+                          q.relations)
 
 
 def support_closure(q, support):

@@ -173,6 +173,18 @@ def test_domain_error_exit_code(capsys, tmp_path):
         assert "PathLimitExceeded" in err, argv
 
 
+def test_arrow_names_that_walk_syntax_reads_otherwise_exit_2(capsys,
+                                                            tmp_path):
+    for name in ("a^-1", "e(1)"):
+        path = tmp_path / "clash.quiver"
+        path.write_text(f"vertex 1\nvertex 2\nvertex 3\narrow a 1 -> 2\n"
+                        f"arrow {name} 3 -> 2\n")
+        code, out, err = run(capsys, "verify", str(path), "--max-length", "2")
+        assert (code, out) == (2, ""), name
+        assert err == f"parse error: arrow name {name!r} would be read as " \
+            "another walk\n", name
+
+
 def test_infinite_algebras_fail_fast(capsys, tmp_path):
     # every relation-avoiding path from 1 of length up to 22 is a word in
     # the loops a and b with no a^22, so the paths grow as 2^length

@@ -7,9 +7,10 @@ from stringchar import BoundIceQuiver, InputParseError, InvalidStringError, \
     QuiverError, Representation, Step, Walk, Winding, blow_up, \
     closure_and_border, enumerate_strings, ensure_string, is_valid_string, \
     principal_extension, pushforward, simple, string_module, validate_string
-from stringchar.quiver import extension_violation
+from stringchar.character import pp_character
+from stringchar.quiver import StringViolation
 
-from conftest import caret_quiver, load
+from conftest import FIXTURES, caret_quiver, load
 
 
 # -- parsing ----------------------------------------------------------------
@@ -109,6 +110,20 @@ def test_full_subquiver_and_unfrozen_part():
     assert q.unfrozen_part().vertices == ("1", "2")
 
 
+@pytest.mark.parametrize("name", [
+    "a^-1",  # with the arrow a, the step a backwards
+    "e(1)",  # the trivial walk at vertex 1
+    "e(x)",  # a trivial walk at no vertex
+    "a b",   # two steps
+    "",
+])
+def test_arrow_names_that_walk_syntax_reads_otherwise(name):
+    with pytest.raises(QuiverError) as info:
+        BoundIceQuiver(["1", "2", "3"], [("a", "1", "2"), (name, "3", "2")])
+    assert str(info.value) == \
+        f"arrow name {name!r} would be read as another walk"
+
+
 # -- walks ------------------------------------------------------------------
 
 def test_walk_parsing_and_structure():
@@ -124,6 +139,13 @@ def test_walk_parsing_and_structure():
     assert c.step_arrow(4) is None
     assert c.inverse().vertices == ("3", "4", "2", "3")
     assert c.inverse().inverse() == c
+
+
+def test_walks_read_back_from_their_text():
+    for path in sorted(FIXTURES.glob("*.quiver")):
+        q = load(path.stem)
+        for c in enumerate_strings(q, 3):
+            assert Walk.parse(q, str(c)) == c, (path.stem, c)
 
 
 def test_trivial_walks():
@@ -280,6 +302,20 @@ def test_principal_extension():
         principal_extension(ext)
 
 
+def test_principal_extension_names_a_clash():
+    added = "the frozen vertex and arrow \"1'\" added for vertex '1' clash"
+    vertex = BoundIceQuiver(["1", "1'"], [("a", "1", "1'")])
+    with pytest.raises(QuiverError) as info:
+        principal_extension(vertex)
+    assert str(info.value) == \
+        f"principal extension: {added} with the vertex \"1'\""
+    arrow = BoundIceQuiver(["1", "2"], [("1'", "1", "2")])
+    with pytest.raises(QuiverError) as info:
+        pp_character(arrow, Walk.parse(arrow, "1'"))
+    assert str(info.value) == \
+        f"principal extension: {added} with the arrow \"1'\""
+
+
 # -- closure and border -------------------------------------------------------
 
 def test_closure_and_border():
@@ -419,6 +455,39 @@ def _all_walks(q, max_length):
     return walks
 
 
+def _every_window_violations(q, c):
+    """Every violation of the walk c, found by scanning every window of the
+    whole walk: its backtracks by step, then, relation by relation, each
+    window that spells the relation forward or inverted."""
+    steps = c.steps
+    found = [StringViolation("backtrack", i, (),
+                             f"step {i} is immediately undone by step "
+                             f"{i + 1}")
+             for i in range(1, len(steps))
+             if steps[i - 1].arrow == steps[i].arrow and
+             steps[i - 1].forward != steps[i].forward]
+    for rel in q.relations:
+        k = len(rel)
+        for i in range(len(steps) - k + 1):
+            window = steps[i:i + k]
+            names = tuple(s.arrow for s in window)
+            span = f"steps {i + 1}..{i + k} spell"
+            if all(s.forward for s in window) and names == rel:
+                found.append(StringViolation(
+                    "relation", i + 1, rel,
+                    f"{span} the relation {' '.join(rel)}"))
+            elif not any(s.forward for s in window) and names[::-1] == rel:
+                found.append(StringViolation(
+                    "relation", i + 1, rel,
+                    f"{span} the inverse of the relation {' '.join(rel)}"))
+    return found
+
+
+def _last_step(violation):
+    """The 1-based step at which the window of a violation ends."""
+    return violation.index + max(len(violation.relation) - 1, 1)
+
+
 TWO_CYCLE = BoundIceQuiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")],
                            relations=[("a", "b")])
 
@@ -428,22 +497,36 @@ TWO_CYCLE = BoundIceQuiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")],
                          ids=["a3dec", "a4dec", "dcyclic3", "dcyclic4",
                               "dcyclic5", "two-cycle"])
 def test_extension_check_reads_only_the_last_windows(q):
+    """validate_string, the fold of the extension check, against the scan
+    of every window: the same verdict on every walk, and the violation
+    reported is the scan's violation that ends first (a backtrack before a
+    relation, relations in declaration order, when two end together)."""
     walks = _all_walks(q, 5)
     kinds = set()
     for c in walks:
-        if not c.steps:
-            continue
-        parent = Walk(q, c.steps[:-1]) if len(c.steps) > 1 else \
-            Walk.trivial(q, c.source)
-        if validate_string(q, parent) is None:
-            violation = extension_violation(q, parent.steps, c.steps[-1])
-            assert violation == validate_string(q, c), c
-            kinds.add(violation and violation.kind)
+        found = _every_window_violations(q, c)
+        violation = validate_string(q, c)
+        assert violation == (min(found, key=_last_step) if found else None), c
+        kinds.add(violation and violation.kind)
     assert kinds == ({None, "backtrack", "relation"} if q.relations
                      else {None, "backtrack"})
     strings = [c for c in walks if is_valid_string(q, c)]
     assert enumerate_strings(q, 5) == strings
     assert len(strings) < len(walks)
+
+
+def test_the_first_violation_along_the_walk_is_reported():
+    q = load("a2ice")
+    c = Walk.parse(q, "alpha beta beta^-1")
+    # the whole-walk scan reports the backtrack, which ends later
+    assert [str(v) for v in _every_window_violations(q, c)] == [
+        "step 2 is immediately undone by step 3",
+        "steps 1..2 spell the relation alpha beta"]
+    with pytest.raises(InvalidStringError) as info:
+        ensure_string(q, c)
+    assert info.value.violation == StringViolation(
+        "relation", 1, ("alpha", "beta"),
+        "steps 1..2 spell the relation alpha beta")
 
 
 def test_extend_checks_the_junction():
