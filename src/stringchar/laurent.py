@@ -8,13 +8,16 @@ index i is the int ``sum(e_i * 2**(32 * i))``, a signed 32-bit field per
 variable.  So a product of monomials is the sum of their keys, the inverse
 of a monomial is the negated key, and comparing keys compares monomials in
 lex order, the variable with the highest index first.  That order is a
-group order on Z^n, so `exact_div` divides Laurent polynomials directly
-(Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
-packed exponent vectors", CASC 2007).
+group order on Z^n, so `exact_div` divides Laurent polynomials directly by
+leading terms, and a heap of keys gives it the leading term of each
+remainder (Johnson 1974; Monagan and Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007).
 
-Names appear only at the edges: `monomials`, `text`, JSON, `coefficient`,
-`as_unit` and `substitute` decode the keys and sort by name, so no output
-depends on the intern order.
+Names appear only at the edges.  `_columns` decodes all the keys of a
+polynomial in one pass, into one column of exponents per field.
+`monomials`, `text`, JSON, `as_unit` and `substitute` read those columns
+with the variables sorted by name, so no output depends on the intern
+order; `coefficient` packs the monomial it is asked for instead.
 
 Every exponent lies within +-EXPONENT_LIMIT (2**29 - 1).  Each polynomial
 carries a bound on the absolute value of its exponents, and an operation
@@ -26,14 +29,15 @@ even if cancellation would have brought its exponents back under it.
 
 from __future__ import annotations
 
+import heapq
 import json
 import operator
+import sys
 
 from .errors import ExponentOverflow, NotDivisible, NotInvertible
 
 _FIELD_BITS = 32
 _HALF = 1 << (_FIELD_BITS - 1)
-_MASK = (1 << _FIELD_BITS) - 1
 # exact_div compares a quotient exponent (up to twice the limit) with a box
 # corner (up to the limit); the difference must still fit a signed field
 EXPONENT_LIMIT = (1 << (_FIELD_BITS - 3)) - 1
@@ -79,32 +83,53 @@ def _pack(exponents):
     return key, bound
 
 
-def _fields(key, n):
-    """The exponents at field indices 0..n-1 of a key."""
-    out = []
-    for _ in range(n):
-        e = ((key + _HALF) & _MASK) - _HALF
-        out.append(e)
-        key = (key - e) >> _FIELD_BITS
-    return out
-
-
 def _width(keys):
     """A number of fields that reaches the highest nonzero field of every
     key; it depends on the keys, not on how many names are interned."""
-    return max((abs(k).bit_length() for k in keys),
-               default=0) // _FIELD_BITS + 1
+    top = max(max(keys), -min(keys)) if keys else 0
+    return top.bit_length() // _FIELD_BITS + 1
+
+
+def _columns(keys, n):
+    """The exponents at field indices 0..n-1 of every key: n lists, list i
+    holding field i of each key in the order of keys.  n must reach the
+    highest nonzero field of every key (`_width`).
+
+    Every field lies in (-2**31, 2**31), well inside it by EXPONENT_LIMIT.
+    So adding _HALF to every field of a key leaves each field in
+    (0, 2**32) with no carry, and flipping each field's top bit then makes
+    it the two's complement of its exponent.  The bytes of all keys, read
+    as signed 32-bit ints, are the exponents, key by key and field by field.
+    """
+    bias = ((1 << (_FIELD_BITS * n)) - 1) // ((1 << _FIELD_BITS) - 1) * _HALF
+    size = _FIELD_BITS // 8 * n
+    data = b"".join(((k + bias) ^ bias).to_bytes(size, sys.byteorder)
+                    for k in keys)
+    fields = memoryview(data).cast("i")
+    return [fields[i::n].tolist() for i in range(n)]
+
+
+def _rows(keys):
+    """The names of the variables that occur in keys, sorted, and for each
+    key the tuple of its exponents of them in that order."""
+    columns = _columns(keys, _width(keys))
+    used = sorted((_NAMES[i], column)
+                  for i, column in enumerate(columns) if any(column))
+    if not used:
+        return (), [()] * len(keys)
+    names, columns = zip(*used)
+    return names, list(zip(*columns))
 
 
 def _unpack(key):
     """The {var: exp} mapping of a key, sorted by variable name."""
-    fields = _fields(key, _width((key,)))
-    return dict(sorted((_NAMES[i], e) for i, e in enumerate(fields) if e))
+    names, (row,) = _rows((key,))
+    return dict(zip(names, row))
 
 
-def _extent(terms, n):
-    """Per-field minimum and maximum exponents over the keys of terms."""
-    columns = list(zip(*(_fields(key, n) for key in terms)))
+def _extent(keys, n):
+    """Per-field minimum and maximum exponents over keys."""
+    columns = _columns(keys, n)
     return [min(c) for c in columns], [max(c) for c in columns]
 
 
@@ -171,8 +196,9 @@ class LaurentPoly:
     def monomials(self):
         """Yield (exponents, coeff) for every term, exponents being a
         {var: exp} dict sorted by variable name."""
-        for key, coeff in self.terms.items():
-            yield _unpack(key), coeff
+        names, rows = _rows(self.terms)
+        for row, coeff in zip(rows, self.terms.values()):
+            yield {v: e for v, e in zip(names, row) if e}, coeff
 
     def as_unit(self):
         """Return (coeff, {var: exp}) if self is a single term with
@@ -320,6 +346,10 @@ class LaurentPoly:
         exists.  Refusing them keeps every remainder term within the
         exponent ranges of self, and it ends the division: every step emits
         a new quotient term, and the box holds finitely many.
+
+        The remainder is a dict, and a max-heap holds an entry for each of
+        its keys; an entry whose term has cancelled is dropped when it
+        reaches the top, so no step rescans the remainder for its lead.
         """
         other = self._coerce(other)
         if other is None or other.is_zero():
@@ -345,8 +375,12 @@ class LaurentPoly:
         lead_b_coeff = b[lead_b]
         quotient = {}
         remainder = dict(a)
+        heap = [-key for key in a]    # heapq is a min-heap
+        heapq.heapify(heap)
         while remainder:
-            lead_r = max(remainder)
+            lead_r = -heapq.heappop(heap)
+            if lead_r not in remainder:
+                continue
             q_key = lead_r - lead_b
             if (q_key < least or (q_key - low + signs) & signs != signs
                     or (high - q_key + signs) & signs != signs):
@@ -358,6 +392,8 @@ class LaurentPoly:
             quotient[q_key] = q_coeff
             for b_key, b_coeff in b.items():
                 key = q_key + b_key
+                if key not in remainder:
+                    heapq.heappush(heap, -key)
                 c = remainder.get(key, 0) - q_coeff * b_coeff
                 if c:
                     remainder[key] = c
@@ -412,15 +448,11 @@ class LaurentPoly:
 
     def _sorted_terms(self):
         """(exponents, coeff) pairs in output order: descending lex order
-        with the variables sorted by name."""
-        terms = list(self.monomials())
-        varlist = sorted({v for exps, _coeff in terms for v in exps})
-
-        def key(item):
-            exps = item[0]
-            return tuple(exps.get(v, 0) for v in varlist)
-
-        return sorted(terms, key=key, reverse=True)
+        of the exponent tuples, with the variables sorted by name."""
+        names, rows = _rows(self.terms)
+        terms = sorted(zip(rows, self.terms.values()), reverse=True)
+        return [({v: e for v, e in zip(names, row) if e}, coeff)
+                for row, coeff in terms]
 
     def text(self):
         """Canonical text form, e.g. ``2 * x[1]^2 x[2]^-1 + 1``."""

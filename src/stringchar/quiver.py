@@ -32,6 +32,11 @@ class BoundIceQuiver:
         for v in self.vertices:
             if not isinstance(v, str):
                 raise QuiverError(f"vertex id {v!r} is not a string")
+            # Walk.parse splits a walk at blanks, so e(...) of a vertex id
+            # with a blank would read as steps
+            if any(ch.isspace() for ch in v):
+                raise QuiverError(
+                    f"vertex id {v!r} would be read as another walk")
         self.vertex_set = frozenset(self.vertices)
         if len(self.vertex_set) != len(self.vertices):
             duplicate = next(v for k, v in enumerate(self.vertices)

@@ -28,3 +28,21 @@ def caret_quiver():
     Blow-up pendants named {target}^{arrow};{k} collided here."""
     return BoundIceQuiver(["u", "p^q", "p"],
                           [("r", "u", "p^q"), ("q^r", "u", "p")])
+
+
+def hand_built_quivers():
+    """Bound quivers whose relations overlap, which no fixture has."""
+    cycle = [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1")]
+    return [
+        # an arrow repeated inside a relation
+        BoundIceQuiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")],
+                       relations=[("a", "b", "a"), ("b", "a", "b")]),
+        # a relation implied by a shorter one
+        BoundIceQuiver(["1", "2", "3", "4"],
+                       [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")],
+                       relations=[("a", "b"), ("a", "b", "c")]),
+        # a long relation beside a short one it contains
+        BoundIceQuiver(["1", "2", "3"], cycle,
+                       relations=[("a", "b", "c", "a", "b", "c", "a"),
+                                  ("b", "c", "a", "b")]),
+    ]

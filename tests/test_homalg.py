@@ -16,7 +16,7 @@ from stringchar import BoundIceQuiver, PathBasis, PathLimitExceeded, \
 from stringchar.homalg import _require_finite, euler_form, \
     projective_cover_data
 
-from conftest import FIXTURES, caret_quiver, load
+from conftest import FIXTURES, caret_quiver, hand_built_quivers, load
 
 
 def fixture_quivers():
@@ -158,7 +158,7 @@ def test_path_basis_detects_infinite_algebras():
 
 
 def test_path_basis_matches_the_every_window_oracle():
-    for q in fixture_quivers() + _hand_built_quivers() + \
+    for q in fixture_quivers() + hand_built_quivers() + \
             [_long_relation_cycle()]:
         assert PathBasis(q).paths == _every_window_paths(q), q.relations
     with pytest.raises(PathLimitExceeded):
@@ -191,7 +191,7 @@ def test_finiteness_check_matches_the_bounded_search():
     # _require_finite grows the states of the relation automaton where the
     # search grows the paths, for the same number of rounds
     rng = random.Random(14)
-    quivers = fixture_quivers() + _hand_built_quivers() + \
+    quivers = fixture_quivers() + hand_built_quivers() + \
         [_long_relation_cycle(), _two_cycle()] + \
         list(_small_quivers_with_loops(rng, 150))
     infinite = 0
@@ -305,23 +305,6 @@ def test_syzygy():
     assert _syzygy(q, projective(q, "1"))[1].total_dim() == 0
 
 
-def _hand_built_quivers():
-    cycle = [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1")]
-    return [
-        # an arrow repeated inside a relation
-        BoundIceQuiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")],
-                       relations=[("a", "b", "a"), ("b", "a", "b")]),
-        # a relation implied by a shorter one
-        BoundIceQuiver(["1", "2", "3", "4"],
-                       [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")],
-                       relations=[("a", "b"), ("a", "b", "c")]),
-        # a long relation beside a short one it contains
-        BoundIceQuiver(["1", "2", "3"], cycle,
-                       relations=[("a", "b", "c", "a", "b", "c", "a"),
-                                  ("b", "c", "a", "b")]),
-    ]
-
-
 def test_ext1_matches_the_syzygy_oracle():
     rng = random.Random(2718)
     for q in fixture_quivers():
@@ -332,7 +315,7 @@ def test_ext1_matches_the_syzygy_oracle():
         _assert_ext1_matches_the_oracle(
             q, [string_module(q, c)
                 for c in rng.sample(strings, min(6, len(strings)))])
-    for k, q in enumerate(_hand_built_quivers()):
+    for k, q in enumerate(hand_built_quivers()):
         strings = [string_module(q, c) for c in enumerate_strings(q, 2)]
         modules = [simple(q, v) for v in q.vertices] + \
             [projective(q, v) for v in q.vertices] + strings
@@ -468,7 +451,7 @@ def _assert_pairings_match_the_oracle(q, strings):
 
 
 def _pairing_quivers():
-    return _hand_built_quivers() + [
+    return hand_built_quivers() + [
         # relations of length 3 that start and end at the same vertex
         BoundIceQuiver(["1", "2", "3"],
                        [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1")],

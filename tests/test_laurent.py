@@ -9,7 +9,8 @@ import pytest
 
 from stringchar import ExponentOverflow, LaurentPoly, Mat2, NotDivisible, \
     NotInvertible, StringCharError
-from stringchar.laurent import EXPONENT_LIMIT
+from stringchar.laurent import _FIELD_BITS, _HALF, _NAMES, EXPONENT_LIMIT, \
+    _columns, _from_fields
 
 
 def random_poly(rng, nvars=3, nterms=4, span=3):
@@ -264,6 +265,20 @@ def test_division_does_not_depend_on_other_interned_names():
     assert late[0] == "x[late_x]^2 x[late_y] - 3 * x[late_y]^-2 + x[late_x]^-1"
 
 
+def test_exact_div_skips_terms_that_cancelled_below_the_lead():
+    # x^6 times the divisor cancels the lead x^11 and the five terms under
+    # it at once, so five stale heap entries come up in a row before x^5.
+    x = LaurentPoly.var("x")
+    divisor = sum((x ** i for i in range(6)), LaurentPoly.zero())
+    dividend = sum((x ** i for i in range(12)), LaurentPoly.zero())
+    assert dividend.exact_div(divisor) == x ** 6 + 1
+    with pytest.raises(NotDivisible):
+        (dividend + 3).exact_div(divisor)
+    y = LaurentPoly.var("y")
+    quotient = 2 * x ** 6 * y - 3 * y ** -1
+    assert (quotient * divisor).exact_div(divisor) == quotient
+
+
 def test_exponent_limit_refuses_instead_of_wrapping():
     assert issubclass(ExponentOverflow, StringCharError)
     x, y = LaurentPoly.var("x"), LaurentPoly.var("y")
@@ -357,6 +372,102 @@ def test_json_round_trip_randomised():
     for _ in range(25):
         f = random_poly(rng)
         assert LaurentPoly.from_json_obj(f.to_json_obj()) == f
+
+
+# -- key decoding against the per-key oracle ---------------------------------
+
+def _fields(key, n):
+    """The exponents at field indices 0..n-1 of a key, read one field at a
+    time: the oracle of `_columns`."""
+    out = []
+    for _ in range(n):
+        e = ((key + _HALF) & ((1 << _FIELD_BITS) - 1)) - _HALF
+        out.append(e)
+        key = (key - e) >> _FIELD_BITS
+    return out
+
+
+def _oracle_terms(monomials):
+    """(exponents, coeff) pairs in output order: descending lex order of
+    the exponent tuples over the variables that occur, sorted by name."""
+    names = sorted({v for exps, _coeff in monomials for v in exps})
+    return sorted(monomials, key=lambda t: [t[0].get(v, 0) for v in names],
+                  reverse=True)
+
+
+def _oracle_text(terms):
+    pieces = []
+    for i, (exps, coeff) in enumerate(terms):
+        factors = " ".join(f"x[{v}]" + ("" if e == 1 else f"^{e}")
+                           for v, e in exps.items())
+        size = "" if abs(coeff) == 1 and factors else str(abs(coeff))
+        body = " * ".join(p for p in (size, factors) if p)
+        if i == 0:
+            pieces.append(body if coeff > 0 else "-" + body)
+        else:
+            pieces.append(("+ " if coeff > 0 else "- ") + body)
+    return " ".join(pieces) or "0"
+
+
+def _decoder_cases():
+    """Seeded random polynomials in early and late interned variables.
+
+    The late variables are interned after more than 64 other names and in
+    the reverse of their name order, so an output that followed the
+    intern order would differ from one in name order."""
+    for i in range(65):
+        LaurentPoly.var(f"decode_pad{i}")
+    late = [f"decode_v{j}" for j in range(6)]
+    for v in reversed(late):
+        LaurentPoly.var(v)
+    names = ["x0", "x1", "x2"] + late
+    rng = random.Random(20261019)
+    cases = [LaurentPoly.zero(), LaurentPoly.const(-7), LaurentPoly.one(),
+             LaurentPoly.monomial(3, {"decode_v5": EXPONENT_LIMIT,
+                                      "x0": -EXPONENT_LIMIT}),
+             LaurentPoly.var("decode_v0", -EXPONENT_LIMIT)
+             + LaurentPoly.var("decode_v4", EXPONENT_LIMIT) - 1]
+    for _ in range(30):
+        f = LaurentPoly.zero()
+        for _ in range(rng.randrange(1, 9)):
+            exps = {}
+            for v in rng.sample(names, rng.randrange(len(names) + 1)):
+                exps[v] = rng.choice([rng.randrange(-3, 4),
+                                      EXPONENT_LIMIT, -EXPONENT_LIMIT])
+            f = f + LaurentPoly.monomial(rng.randrange(-4, 5), exps)
+        cases.append(f)
+    return cases
+
+
+def test_columns_match_the_per_key_oracle():
+    rng = random.Random(7)
+    top = _HALF - 1
+    for n in (1, 2, 3, 70):
+        rows = [[rng.choice([0, 1, -1, top, -top, rng.randrange(-top, top)])
+                 for _ in range(n)] for _ in range(20)]
+        rows += [[0] * n, [top] * n, [-top] * n]
+        keys = [_from_fields(row) for row in rows]
+        assert [_fields(key, n) for key in keys] == rows
+        assert _columns(keys, n) == [[row[i] for row in rows]
+                                     for i in range(n)]
+
+
+def test_output_matches_the_per_key_oracle():
+    for f in _decoder_cases():
+        n = len(_NAMES)
+        rows = [_fields(key, n) for key in f.terms]
+        assert _columns(list(f.terms), n) == [[row[i] for row in rows]
+                                              for i in range(n)]
+        monomials = [
+            (dict(sorted((_NAMES[i], e) for i, e in enumerate(row) if e)),
+             coeff) for row, coeff in zip(rows, f.terms.values())]
+        assert [(list(exps.items()), coeff)
+                for exps, coeff in f.monomials()] == \
+            [(list(exps.items()), coeff) for exps, coeff in monomials]
+        terms = _oracle_terms(monomials)
+        assert f.text() == _oracle_text(terms)
+        assert f.to_json() == json.dumps(
+            [{"coeff": coeff, "exponents": exps} for exps, coeff in terms])
 
 
 def test_hash_consistency():

@@ -10,7 +10,7 @@ from stringchar import BoundIceQuiver, InputParseError, InvalidStringError, \
 from stringchar.character import pp_character
 from stringchar.quiver import StringViolation
 
-from conftest import FIXTURES, caret_quiver, load
+from conftest import FIXTURES, caret_quiver, hand_built_quivers, load
 
 
 # -- parsing ----------------------------------------------------------------
@@ -124,6 +124,14 @@ def test_arrow_names_that_walk_syntax_reads_otherwise(name):
         f"arrow name {name!r} would be read as another walk"
 
 
+@pytest.mark.parametrize("vertex", ["a b", " a", "a\t", "a\nb"])
+def test_vertex_ids_that_walk_syntax_reads_otherwise(vertex):
+    with pytest.raises(QuiverError) as info:
+        BoundIceQuiver([vertex, "x)"], [("f", vertex, "x)")])
+    assert str(info.value) == \
+        f"vertex id {vertex!r} would be read as another walk"
+
+
 # -- walks ------------------------------------------------------------------
 
 def test_walk_parsing_and_structure():
@@ -146,6 +154,17 @@ def test_walks_read_back_from_their_text():
         q = load(path.stem)
         for c in enumerate_strings(q, 3):
             assert Walk.parse(q, str(c)) == c, (path.stem, c)
+
+
+def test_trivial_walks_read_back_from_their_text():
+    quivers = [load(path.stem) for path in sorted(FIXTURES.glob("*.quiver"))]
+    quivers += hand_built_quivers() + [caret_quiver()]
+    quivers.append(BoundIceQuiver(["x)", "e(1", "", "a^-1"],
+                                  [("f", "x)", "e(1")]))
+    for q in quivers:
+        for v in q.vertices:
+            e = Walk.trivial(q, v)
+            assert Walk.parse(q, str(e)) == e, (q.vertices, v)
 
 
 def test_trivial_walks():
