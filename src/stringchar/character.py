@@ -124,11 +124,13 @@ def _weights(q):
 def _check_descent(q, c, counts):
     """Raise K0IllDefined unless <S_i,M> - <M,S_i>, from the
     `_StringCounts` of the string c, is the anti-symmetrised pairing of
-    S_i with dim M for every vertex i."""
+    S_i with dim M for every vertex i.  The dimension terms of the two
+    pairings (`simple_pairings`) give that pairing exactly, so it holds
+    where the relation counts `ahead` and `behind` agree."""
     for i in q.vertices:
         # only the anti-symmetrised pairing is ever applied to a bare
         # dimension class, so that is the descent we must insist on
-        if counts.forward[i] - counts.backward[i] != counts.anti[i]:
+        if counts.ahead[i] != counts.behind[i]:
             raise K0IllDefined(
                 f"the anti-symmetrised pairing with the simple at {i!r} "
                 f"does not descend to the dimension vector of {c}")
@@ -137,8 +139,9 @@ def _check_descent(q, c, counts):
 def _character(q, counts, transfer):
     """The character from the transfer product at the `_weights` and the
     `_StringCounts` of the string: transfer * x^-<S_.,M>."""
+    forward, _backward = counts.pairings(q)
     return transfer * LaurentPoly.monomial(
-        1, {i: -counts.forward[i] for i in q.vertices})
+        1, {i: -e for i, e in forward.items()})
 
 
 def pp_character(q, c):

@@ -296,16 +296,19 @@ def simple_pairings(q, c):
     entry, and its rank is the number of pairs (a, k) such that the rest p
     of some relation a p walks on from the position k.  Hence
 
-        <S_i,M> = dim M_i - #{(a, k) : a: i -> label(k), and no relation
-                  a p has p walking forward from k},
+        <S_i,M> = dim M_i - sum_{a: i -> j} dim M_j + ahead[i],
+        ahead[i] = #{(a, k) : a: i -> label(k), and the rest p of some
+                   relation a p walks forward from k},
 
     and, over the opposite algebra,
 
-        <M,S_i> = dim M_i - #{(a, k) : a: label(k) -> i, and no relation
-                  p a has p walking backward from k}.
+        <M,S_i> = dim M_i - sum_{a: j -> i} dim M_j + behind[i],
+        behind[i] = #{(a, k) : a: label(k) -> i, and some relation p a has
+                    p walking backward from k}.
+
+    Only the two relation counts depend on the shape of the string.
     """
-    counts = _string_pass(q, ensure_string(q, c))
-    return counts.forward, counts.backward
+    return _string_pass(q, ensure_string(q, c)).pairings(q)
 
 
 def normalisation_vector(q, c):
@@ -319,14 +322,21 @@ def normalisation_vector(q, c):
     the spine vertex over a position k adds 1 - (spine steps leaving k),
     and each in-pendant (an arrow into label(k) that neither step at k
     uses) adds -1.  Summed over the positions labelled i, the spine steps
-    leaving them are the steps whose arrow starts at i, so
+    leaving them are the steps whose arrow starts at i.  Of the
+    sum_{a: i -> j} dim M_j pairs (a, k) with a: i -> label(k), the steps
+    use one per step whose arrow starts at i, at the position the arrow
+    enters, and one more per step on a loop at i, at the position it
+    leaves, unless the step before entered there on the same loop.  So
+    with l_i the runs a a ... a and a^-1 a^-1 ... a^-1 of c on single
+    loops a at i, that pairing is dim M_i - sum_{a: i -> j} dim M_j + l_i,
+    and with `simple_pairings`
 
-        n_i = <S_i,M> - dim M_i + #{steps whose arrow starts at i}
-              + #{(a, k) : a: i -> label(k) used by neither step at k}.
+        n_i = ahead[i] - l_i,
 
-    No blow-up is built: it is counted in the same pass as the pairings.
+    so n is 0 over a relation-free loop-free quiver, where X_M = L_c.  No
+    blow-up is built.
     """
-    return _string_pass(q, ensure_string(q, c)).normaliser(q)
+    return _string_pass(q, ensure_string(q, c)).normaliser(q, c)
 
 
 def _string_pass(q, c):
@@ -341,89 +351,93 @@ def _string_pass(q, c):
 
 class _StringCounts:
     """Sums over the positions of a string, per vertex i of the quiver:
-    `dims` dim M_i, `forward` <S_i,M>, `backward` <M,S_i>, `extra`
-    n_i - <S_i,M>, and `anti` sum_j dim M_j <S_i,S_j>_a, the
-    anti-symmetrised pairing of S_i with the dimension vector of M.  All
-    of them are 0 off the closure of the support (`quiver.support_closure`),
-    where n lives."""
+    `dims` dim M_i, and the relation counts `ahead` and `behind` of
+    `simple_pairings`.  Both pairings, the normalising vector and the K0
+    check are read off these three; the counts are 0 off the closure of
+    the support (`quiver.support_closure`), where n lives."""
 
-    __slots__ = ("dims", "forward", "backward", "extra", "anti")
+    __slots__ = ("dims", "ahead", "behind")
 
     def __init__(self, q):
         self.dims = dict.fromkeys(q.vertices, 0)
-        self.forward = dict(self.dims)
-        self.backward = dict(self.dims)
-        self.extra = dict(self.dims)
-        self.anti = dict(self.dims)
+        self.ahead = dict(self.dims)
+        self.behind = dict(self.dims)
 
     def copy(self):
         other = object.__new__(_StringCounts)
         other.dims = dict(self.dims)
-        other.forward = dict(self.forward)
-        other.backward = dict(self.backward)
-        other.extra = dict(self.extra)
-        other.anti = dict(self.anti)
+        other.ahead = dict(self.ahead)
+        other.behind = dict(self.behind)
         return other
 
-    def normaliser(self, q):
-        """normalisation_vector: n_i on the closure of the support."""
+    def arrow_sums(self, q, into=False):
+        """{i: sum_{a: i -> j} dim M_j}, the vector A dim M with A_ij the
+        arrows i -> j; with into, over the arrows j -> i instead."""
+        sums = dict.fromkeys(self.dims, 0)
+        for arrow in q.arrows.values():
+            i, j = ((arrow.target, arrow.source) if into
+                    else (arrow.source, arrow.target))
+            sums[i] += self.dims[j]
+        return sums
+
+    def pairings(self, q):
+        """simple_pairings: ({i: <S_i,M>}, {i: <M,S_i>})."""
+        out, into = self.arrow_sums(q), self.arrow_sums(q, into=True)
+        return ({i: d - out[i] + self.ahead[i] for i, d in self.dims.items()},
+                {i: d - into[i] + self.behind[i]
+                 for i, d in self.dims.items()})
+
+    def normaliser(self, q, c):
+        """normalisation_vector: ahead - l on the closure of the support,
+        l_i the runs of the string c on single loops at i."""
         closure = support_closure(q, {i for i, d in self.dims.items() if d})
-        return {i: self.forward[i] + self.extra[i] for i in q.vertices
-                if i in closure}
+        vector = {i: self.ahead[i] for i in q.vertices if i in closure}
+        previous = None
+        for step in c.steps:
+            arrow = q.arrow(step.arrow)
+            if arrow.source == arrow.target and arrow.name != previous:
+                vector[arrow.source] -= 1
+            previous = arrow.name
+        return vector
 
 
 class _PositionCount:
     """What one position of a string on q adds to its `_StringCounts`.  It
     depends on the steps within `reach` of the position: the longest
-    relation but one arrow, and at least the step on each side.  So once a
-    string has `reach` steps past a position, no extension of it changes
-    what that position adds."""
+    relation but one arrow, and at least 1, since the sweep counts a
+    string's last position when it yields the string.  So once a string
+    has `reach` steps past a position, no extension of it changes what
+    that position adds."""
 
     def __init__(self, q):
         # the rest of each relation after its first arrow, and before its
-        # last arrow read backwards
+        # last arrow read backwards; only the arrows that begin or end a
+        # relation add to a relation count
         after, before = {}, {}
         for rel in q.relations:
             after.setdefault(rel[0], []).append(rel[1:])
             before.setdefault(rel[-1], []).append(rel[-2::-1])
-        self.into = {v: [(a.name, a.source, after.get(a.name, ()))
-                         for a in q.arrows_to(v)] for v in q.vertices}
-        self.out_of = {v: [(a.name, a.target, before.get(a.name, ()))
-                           for a in q.arrows_from(v)] for v in q.vertices}
+        self.into = {v: [(a.source, after[a.name]) for a in q.arrows_to(v)
+                         if a.name in after] for v in q.vertices}
+        self.out_of = {v: [(a.target, before[a.name])
+                           for a in q.arrows_from(v) if a.name in before]
+                       for v in q.vertices}
         self.reach = max((len(rel) for rel in q.relations), default=2) - 1
 
     def add(self, counts, c, first, last):
         """Add to counts what the positions first..last-1 (0-based) of the
         string c add."""
         steps = c.steps
-        n = len(steps)
-        forward, backward, extra, anti = counts.forward, counts.backward, \
-            counts.extra, counts.anti
+        dims, ahead, behind = counts.dims, counts.ahead, counts.behind
         for k in range(first, last):
             v = c.vertices[k]
-            counts.dims[v] += 1
-            forward[v] += 1
-            backward[v] += 1
-            # the steps at position k: step k - 1 on its left and step k
-            # on its right, 0-based; their arrows, and the number of them
-            # that leave k, less dim M there
-            left = steps[k - 1] if k else None
-            right = steps[k] if k < n else None
-            used = (left and left.arrow, right and right.arrow)
-            extra[v] += (bool(right and right.forward) +
-                         bool(left and not left.forward) - 1)
-            for name, source, rests in self.into[v]:
-                anti[source] -= 1
-                if not (rests and any(_walks(steps, k, p, True)
-                                      for p in rests)):
-                    forward[source] -= 1
-                if name not in used:
-                    extra[source] += 1
-            for name, target, rests in self.out_of[v]:
-                anti[target] += 1
-                if not (rests and any(_walks(steps, k, p, False)
-                                      for p in rests)):
-                    backward[target] -= 1
+            dims[v] += 1
+            for source, rests in self.into[v]:
+                if any(_walks(steps, k, p, True) for p in rests):
+                    ahead[source] += 1
+            for target, rests in self.out_of[v]:
+                if any(_walks(steps, k, p, False) for p in rests):
+                    behind[target] += 1
 
 
 def _walks(steps, k, path, ahead):

@@ -44,14 +44,10 @@ EXPONENT_LIMIT = (1 << (_FIELD_BITS - 3)) - 1
 
 _NAMES = []    # field index -> variable name
 _UNITS = {}    # variable name -> key of the variable itself
-# _HALF in every field in use: adding it to a key whose fields are in
-# (-_HALF, _HALF) sets a field's top bit exactly when the field is >= 0
-_SIGNS = 0
 
 
 def _unit(v):
     """The key of the variable v, interning its name on first use."""
-    global _SIGNS
     unit = _UNITS.get(v)
     if unit is None:
         if not isinstance(v, str):
@@ -59,7 +55,6 @@ def _unit(v):
         unit = 1 << (_FIELD_BITS * len(_NAMES))
         _NAMES.append(v)
         _UNITS[v] = unit
-        _SIGNS |= unit * _HALF
     return unit
 
 
@@ -90,6 +85,13 @@ def _width(keys):
     return top.bit_length() // _FIELD_BITS + 1
 
 
+def _halves(n):
+    """_HALF in each of the fields 0..n-1.  Adding it to a key whose
+    fields lie in (-_HALF, _HALF) sets a field's top bit exactly when the
+    field is >= 0, and carries into no other field."""
+    return ((1 << (_FIELD_BITS * n)) - 1) // ((1 << _FIELD_BITS) - 1) * _HALF
+
+
 def _columns(keys, n):
     """The exponents at field indices 0..n-1 of every key: n lists, list i
     holding field i of each key in the order of keys.  n must reach the
@@ -101,7 +103,7 @@ def _columns(keys, n):
     it the two's complement of its exponent.  The bytes of all keys, read
     as signed 32-bit ints, are the exponents, key by key and field by field.
     """
-    bias = ((1 << (_FIELD_BITS * n)) - 1) // ((1 << _FIELD_BITS) - 1) * _HALF
+    bias = _halves(n)
     size = _FIELD_BITS // 8 * n
     data = b"".join(((k + bias) ^ bias).to_bytes(size, sys.byteorder)
                     for k in keys)
@@ -367,9 +369,9 @@ class LaurentPoly:
         bound = max(map(abs, low + high), default=0)
         _check_limit(bound, "the quotient")
         low, high = _from_fields(low), _from_fields(high)
-        # the mask spans every interned field, so a candidate with a nonzero
-        # field above the n of the operands, where low and high are 0, fails
-        signs = _SIGNS
+        # the mask spans the operands' n fields and one more, where low and
+        # high are 0, so a candidate with a nonzero field above theirs fails
+        signs = _halves(n + 1)
         least = min(a) - min(b)
         lead_b = max(b)
         lead_b_coeff = b[lead_b]

@@ -53,7 +53,7 @@ class Swept:
 
     @property
     def normaliser(self):
-        return self.counts.normaliser(self.quiver)
+        return self.counts.normaliser(self.quiver, self.string)
 
     @property
     def walk_polynomial(self):
@@ -63,7 +63,7 @@ class Swept:
     @property
     def pairings(self):
         """({i: <S_i,M>}, {i: <M,S_i>})."""
-        return self.counts.forward, self.counts.backward
+        return self.counts.pairings(self.quiver)
 
 
 def sweep(q, max_length):
@@ -75,7 +75,10 @@ def sweep(q, max_length):
     dimension vector raises K0IllDefined when its turn comes.
 
     A string holds when T x^(n - <S_.,M> + dim M) == N_c.  The exponent is
-    `extra` + `dims` of its counts, so no normalising vector is built."""
+    A dim M - l (`homalg.normalisation_vector`), where A_ij counts the
+    arrows i -> j and l = 0 on a loop-free quiver.  So it is x^(A dim M)
+    (`arrow_sums` of the counts),
+    and neither the pairings nor the normalising vector are built."""
     if q.unfrozen_vertices:
         _require_loop_free(q)
         _require_finite(q)
@@ -107,7 +110,6 @@ def sweep(q, max_length):
         positions.add(counts, c, max(n - reach + 1, 0), n + 1)
         _check_descent(q, c, counts)
         numerator = walk_end(q, vector, c)
-        # extra and dims are 0 off the closure of the support, where n lives
-        shift = {i: e + counts.dims[i] for i, e in counts.extra.items()}
-        holds = transfer[2] * LaurentPoly.monomial(1, shift) == numerator
+        holds = transfer[2] * LaurentPoly.monomial(
+            1, counts.arrow_sums(q)) == numerator
         yield Swept(q, c, counts, transfer[2], numerator, holds)

@@ -1,5 +1,8 @@
 import faulthandler
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -16,6 +19,18 @@ def hang_guard():
     faulthandler.dump_traceback_later(10, exit=True)
     yield
     faulthandler.cancel_dump_traceback_later()
+
+
+def run_in_fresh_interpreter(test):
+    """Run test, a function of a test module, in a new Python interpreter
+    with this one's import path, and fail with its traceback if it raises.
+    For a test that fills process-wide state, such as the Laurent intern
+    table, whose size would otherwise slow every later test."""
+    code = f"import {test.__module__}; {test.__module__}.{test.__name__}()"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def load(name):

@@ -12,6 +12,8 @@ from stringchar import ExponentOverflow, LaurentPoly, Mat2, NotDivisible, \
 from stringchar.laurent import _FIELD_BITS, _HALF, _NAMES, EXPONENT_LIMIT, \
     _columns, _from_fields
 
+from conftest import run_in_fresh_interpreter
+
 
 def random_poly(rng, nvars=3, nterms=4, span=3):
     f = LaurentPoly.zero()
@@ -243,6 +245,11 @@ def test_exact_div_ends_when_no_quotient_exists():
 
 
 def test_division_does_not_depend_on_other_interned_names():
+    # the 500 names it interns would stay in this process's table
+    run_in_fresh_interpreter(_divide_after_interning_many_names)
+
+
+def _divide_after_interning_many_names():
     # A variable interned after many others owns a high field, so its keys
     # are wide ints; dividing in it must give the same results.
     def divide(prefix):

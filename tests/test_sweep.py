@@ -16,9 +16,14 @@ LENGTHS["kronecker3"] = 8
 
 def test_sweep_matches_the_single_string_functions():
     assert len(LENGTHS) == 14
+    relation_free = 0
     for name, max_length in sorted(LENGTHS.items()):
         q = load(name)
         swept = list(sweep(q, max_length))
+        if not q.relations:
+            # over a relation-free loop-free quiver X_M = L_c
+            relation_free += 1
+            assert all(not any(s.normaliser.values()) for s in swept), name
         assert [s.string for s in swept] == \
             enumerate_strings(q, max_length, unfrozen_only=True), name
         for s in swept:
@@ -28,3 +33,4 @@ def test_sweep_matches_the_single_string_functions():
             assert s.walk_polynomial == walk_laurent(q, c), (name, c)
             assert s.pairings == simple_pairings(q, c), (name, c)
             assert s.holds, (name, c)
+    assert relation_free == 10
