@@ -344,9 +344,7 @@ def _string_pass(q, c):
     positions, once the algebra is known to be finite dimensional
     (`_require_finite`), the only algebras in scope."""
     _require_finite(q)
-    counts = _StringCounts(q)
-    _PositionCount(q).add(counts, c, 0, len(c.vertices))
-    return counts
+    return _PositionCount(q).count(c)
 
 
 class _StringCounts:
@@ -362,13 +360,6 @@ class _StringCounts:
         self.dims = dict.fromkeys(q.vertices, 0)
         self.ahead = dict(self.dims)
         self.behind = dict(self.dims)
-
-    def copy(self):
-        other = object.__new__(_StringCounts)
-        other.dims = dict(self.dims)
-        other.ahead = dict(self.ahead)
-        other.behind = dict(self.behind)
-        return other
 
     def arrow_sums(self, q, into=False):
         """{i: sum_{a: i -> j} dim M_j}, the vector A dim M with A_ij the
@@ -402,12 +393,9 @@ class _StringCounts:
 
 
 class _PositionCount:
-    """What one position of a string on q adds to its `_StringCounts`.  It
-    depends on the steps within `reach` of the position: the longest
-    relation but one arrow, and at least 1, since the sweep counts a
-    string's last position when it yields the string.  So once a string
-    has `reach` steps past a position, no extension of it changes what
-    that position adds."""
+    """The `_StringCounts` of strings on q, each from one pass over its
+    positions; built once per quiver, so a sweep over many strings reads
+    the relations once."""
 
     def __init__(self, q):
         # the rest of each relation after its first arrow, and before its
@@ -422,15 +410,14 @@ class _PositionCount:
         self.out_of = {v: [(a.target, before[a.name])
                            for a in q.arrows_from(v) if a.name in before]
                        for v in q.vertices}
-        self.reach = max((len(rel) for rel in q.relations), default=2) - 1
+        self.quiver = q
 
-    def add(self, counts, c, first, last):
-        """Add to counts what the positions first..last-1 (0-based) of the
-        string c add."""
+    def count(self, c):
+        """A fresh `_StringCounts` of the string c."""
         steps = c.steps
+        counts = _StringCounts(self.quiver)
         dims, ahead, behind = counts.dims, counts.ahead, counts.behind
-        for k in range(first, last):
-            v = c.vertices[k]
+        for k, v in enumerate(c.vertices):
             dims[v] += 1
             for source, rests in self.into[v]:
                 if any(_walks(steps, k, p, True) for p in rests):
@@ -438,6 +425,7 @@ class _PositionCount:
             for target, rests in self.out_of[v]:
                 if any(_walks(steps, k, p, False) for p in rests):
                     behind[target] += 1
+        return counts
 
 
 def _walks(steps, k, path, ahead):

@@ -331,8 +331,11 @@ class LaurentPoly:
         return self.terms == other.terms
 
     def __hash__(self):
+        """A constant hashes as its int, which it equals."""
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            c = self.terms.get(0, 0)
+            self._hash = hash(c if len(self.terms) == (c != 0)
+                              else frozenset(self.terms.items()))
         return self._hash
 
     # -- division ----------------------------------------------------------

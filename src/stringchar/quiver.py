@@ -3,6 +3,7 @@ string modules, principal extensions, blow-ups and windings."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -443,18 +444,32 @@ def ensure_string(q, c):
 class Representation:
     """A representation of a bound quiver over the rationals.
 
-    dims maps vertices to dimensions (missing vertices get 0); mats maps
-    arrow names to dim(target) x dim(source) matrices acting on column
-    vectors (missing arrows get zero matrices).
+    dims maps vertices to int dimensions (missing vertices get 0); mats
+    maps arrow names to dim(target) x dim(source) matrices acting on column
+    vectors (missing arrows get zero matrices).  A key that names no
+    vertex or arrow of the quiver raises QuiverError.
     """
 
     def __init__(self, quiver, dims, mats=None, check_relations=True):
         self.quiver = quiver
-        self.dims = {v: int(dims.get(v, 0)) for v in quiver.vertices}
-        if any(d < 0 for d in self.dims.values()):
-            raise QuiverError("negative dimension")
-        self.mats = {}
         mats = mats or {}
+        for v in dims:
+            if v not in quiver.vertex_set:
+                raise QuiverError(f"dimension for unknown vertex {v!r}")
+        for name in mats:
+            if name not in quiver.arrows:
+                raise QuiverError(f"matrix for unknown arrow {name!r}")
+        self.dims = {}
+        for v in quiver.vertices:
+            try:
+                d = operator.index(dims.get(v, 0))
+            except TypeError:
+                raise QuiverError(f"dimension at vertex {v!r} is not an "
+                                  f"int: {dims[v]!r}") from None
+            if d < 0:
+                raise QuiverError(f"negative dimension at vertex {v!r}")
+            self.dims[v] = d
+        self.mats = {}
         for name, arrow in quiver.arrows.items():
             rows = self.dims[arrow.target]
             cols = self.dims[arrow.source]

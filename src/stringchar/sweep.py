@@ -10,12 +10,12 @@ method, Stanley, Enumerative Combinatorics I, 4.7).  A string carries:
   out the arrows of the steps on both sides of the last vertex and so is
   known only once the next step is (`formula.walk_step`);
 - the transfer pair (out, inn) at the character's weights, and its sum
-  (`character.transfer_step`);
-- the counts of every position that no extension can change
-  (`homalg._PositionCount`); only the last `reach` positions are counted
-  again.
+  (`character.transfer_step`).
 
-The two sides stay separate recurrences, compared only at the end.
+The two sides stay separate recurrences, compared only at the end.  The
+dimension vector and the relation counts of a string
+(`homalg._PositionCount`) take one pass over its positions, which costs
+no Laurent operation.
 `walk_laurent`, `cluster_character`, `normalisation_vector` and
 `simple_pairings` compute the same values one string at a time.
 """
@@ -25,7 +25,7 @@ from __future__ import annotations
 from .character import _character, _check_descent, _require_loop_free, \
     _weights, transfer_step
 from .formula import walk_end, walk_step
-from .homalg import _PositionCount, _StringCounts, _require_finite
+from .homalg import _PositionCount, _require_finite
 from .laurent import LaurentPoly
 from .quiver import string_tree
 
@@ -33,8 +33,8 @@ from .quiver import string_tree
 class Swept:
     """One string of the sweep: whether X_M * x^n == L_c holds on it
     (`holds`), and the terms from which each side is formed: the transfer
-    product T, with X_M = T x^-<S_.,M>, and the numerator N_c, with
-    L_c = N_c x^-dim M."""
+    product T, with X_M = T x^-<S_.,M>, the numerator N_c, with
+    L_c = N_c x^-dim M, and the string's `homalg._StringCounts`."""
 
     __slots__ = ("quiver", "string", "counts", "transfer", "numerator",
                  "holds")
@@ -52,18 +52,9 @@ class Swept:
         return _character(self.quiver, self.counts, self.transfer)
 
     @property
-    def normaliser(self):
-        return self.counts.normaliser(self.quiver, self.string)
-
-    @property
     def walk_polynomial(self):
         return self.numerator * LaurentPoly.monomial(
             1, {v: -d for v, d in self.counts.dims.items()})
-
-    @property
-    def pairings(self):
-        """({i: <S_i,M>}, {i: <M,S_i>})."""
-        return self.counts.pairings(self.quiver)
 
 
 def sweep(q, max_length):
@@ -77,37 +68,29 @@ def sweep(q, max_length):
     A string holds when T x^(n - <S_.,M> + dim M) == N_c.  The exponent is
     A dim M - l (`homalg.normalisation_vector`), where A_ij counts the
     arrows i -> j and l = 0 on a loop-free quiver.  So it is x^(A dim M)
-    (`arrow_sums` of the counts),
-    and neither the pairings nor the normalising vector are built."""
+    (`arrow_sums` of the string's counts), and neither the pairings nor
+    the normalising vector are built."""
     if q.unfrozen_vertices:
         _require_loop_free(q)
         _require_finite(q)
     weight = _weights(q)
     positions = _PositionCount(q)
-    reach = positions.reach
 
-    # a string's state: the walk's (l, r), the transfer state (out, inn,
-    # total) and the counts of its settled positions
+    # a string's state: the walk's (l, r) and the transfer state (out, inn,
+    # total)
     def root(c):
         w = weight[c.source]
-        return (1, 1), (1, w, 1 + w), _StringCounts(q)
+        return (1, 1), (1, w, 1 + w)
 
     def extend(state, c):
-        vector, transfer, settled = state
-        step = c.steps[-1]
-        n = len(c.steps)
-        settled = settled.copy()
-        if n >= reach:
-            positions.add(settled, c, n - reach, n - reach + 1)
-        return (walk_step(q, vector, c, n),
-                transfer_step(transfer, step.forward, weight[c.target]),
-                settled)
+        vector, transfer = state
+        return (walk_step(q, vector, c, len(c.steps)),
+                transfer_step(transfer, c.steps[-1].forward,
+                              weight[c.target]))
 
-    for c, (vector, transfer, settled) in string_tree(q, max_length, True,
-                                                      root, extend):
-        n = len(c.steps)
-        counts = settled.copy()
-        positions.add(counts, c, max(n - reach + 1, 0), n + 1)
+    for c, (vector, transfer) in string_tree(q, max_length, True, root,
+                                             extend):
+        counts = positions.count(c)
         _check_descent(q, c, counts)
         numerator = walk_end(q, vector, c)
         holds = transfer[2] * LaurentPoly.monomial(

@@ -484,6 +484,14 @@ def test_hash_consistency():
     assert len({f, g}) == 1
 
 
+@pytest.mark.parametrize("c", [0, 1, -3, 2**70])
+def test_constant_hashes_as_its_int(c):
+    f = LaurentPoly.const(c)
+    assert f == c and hash(f) == hash(c)
+    assert c in {f} and f in {c}
+    assert {f: "poly"}[c] == "poly" and {c: "int"}[f] == "int"
+
+
 def test_mat2_operations():
     x, y = LaurentPoly.var("x"), LaurentPoly.var("y")
     m = Mat2(x, 1, 0, y)

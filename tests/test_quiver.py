@@ -286,6 +286,12 @@ def test_representation_checks():
     q = load("a2")
     with pytest.raises(QuiverError):
         Representation(q, {"1": -1})
+    with pytest.raises(QuiverError, match="unknown vertex 'nosuch'"):
+        Representation(q, {"nosuch": 2, "1": 1})
+    with pytest.raises(QuiverError, match="unknown arrow 'bogus'"):
+        Representation(q, {"1": 1}, {"bogus": [[1]]})
+    with pytest.raises(QuiverError, match="vertex '1' is not an int"):
+        Representation(q, {"1": 1.5})
     with pytest.raises(QuiverError):
         Representation(q, {"1": 1, "2": 1}, {"alpha": [[1, 2]]})
     m = simple(q, "1")
