@@ -5,14 +5,15 @@ exchange-style identity checks.
 The numerator N_c of L_c is the bracket [1,1] M [1;1] of a product M of
 2x2 step and vertex matrices.  `walk_numerator` evaluates it as a row
 vector carried along the walk, with three products by a cached monomial
-per step (`walk_step`), and `walk_count` folds the same step rule at
-weight 1; `walk_matrix` forms the full product and is kept as its
-oracle."""
+per step (`walk_step`); `walk_matrix` forms the full product and is kept
+as its oracle.  At weight 1 that row vector is the transfer state of the
+string diagram, so `walk_count` is the transfer product at weight 1."""
 
 from __future__ import annotations
 
 import weakref
 
+from .character import StringDiagram
 from .errors import QuiverError
 from .laurent import LaurentPoly, Mat2
 
@@ -82,25 +83,20 @@ def _vertex_monomials(q, v, before, after):
     return entry
 
 
-def _advance(vector, forward, top, bottom, top_xt, bottom_xs):
-    """The row vector (l, r) times diag(top, bottom) and the step matrix of
-    a step on an arrow s -> t: a forward step maps it to
-    (l top x_t + r bottom, r bottom x_s), an inverse one to
-    (l top x_t, l top + r bottom x_s)."""
-    left, right = vector
-    if forward:
-        return left * top_xt + right * bottom, right * bottom_xs
-    return left * top_xt, left * top + right * bottom_xs
-
-
 def walk_step(q, vector, c, i):
     """The row vector (l, r) times V_c(i) A(c_i) for the 1-based step i of
-    the walk c.  V_c(i) leaves out the arrows of the steps i-1 and i, so it
-    is known only once the step after v_i is."""
+    the walk c.  With V_c(i) = diag(top, bottom) and the step on an arrow
+    s -> t, a forward step maps it to (l top x_t + r bottom, r bottom x_s),
+    an inverse one to (l top x_t, l top + r bottom x_s).  V_c(i) leaves out
+    the arrows of the steps i-1 and i, so it is known only once the step
+    after v_i is."""
     step = c.steps[i - 1]
     top, bottom, top_xt, bottom_xs = _vertex_monomials(
         q, c.vertices[i - 1], c.step_arrow(i - 1), step.arrow)
-    return _advance(vector, step.forward, top, bottom, top_xt, bottom_xs)
+    left, right = vector
+    if step.forward:
+        return left * top_xt + right * bottom, right * bottom_xs
+    return left * top_xt, left * top + right * bottom_xs
 
 
 def walk_end(q, vector, c):
@@ -148,12 +144,13 @@ def numerator_normalisation(q, c):
 
 
 def walk_count(c):
-    """l_c: the integer matrix-product count (2 for trivial walks), the row
-    vector of `walk_numerator` with every variable set to 1."""
-    vector = 1, 1
-    for step in c.steps:
-        vector = _advance(vector, step.forward, 1, 1, 1, 1)
-    return sum(vector)
+    """l_c: the integer matrix-product count (2 for trivial walks), N_c
+    with every variable set to 1.  There `walk_step` maps (l, r) to
+    (l + r, r) on a forward step and to (l, l + r) on an inverse one, the
+    transfer step of the string diagram on (inn, out), and both start
+    from (1, 1); so l_c is the transfer product at weight 1
+    (`character.StringDiagram.transfer`)."""
+    return StringDiagram(c).transfer(dict.fromkeys(c.vertices, 1))
 
 
 def frieze_entry(word):

@@ -10,7 +10,8 @@ from fractions import Fraction
 
 from . import exactmat
 from .errors import PathLimitExceeded, QuiverError
-from .quiver import Representation, ensure_string, simple, support_closure
+from .quiver import Representation, _walks, ensure_string, simple, \
+    support_closure
 
 _finite = weakref.WeakSet()
 
@@ -395,7 +396,9 @@ class _StringCounts:
 class _PositionCount:
     """The `_StringCounts` of strings on q, each from one pass over its
     positions; built once per quiver, so a sweep over many strings reads
-    the relations once."""
+    the relations once.  Whether the rest of a relation walks on from a
+    position is `quiver._walks`, the test by which `extension_violation`
+    reads a relation along a string."""
 
     def __init__(self, q):
         # the rest of each relation after its first arrow, and before its
@@ -426,20 +429,3 @@ class _PositionCount:
                 if any(_walks(steps, k, p, False) for p in rests):
                     behind[target] += 1
         return counts
-
-
-def _walks(steps, k, path, ahead):
-    """Whether the arrows of path, in turn, move on from position k of the
-    string with these steps: along each arrow if ahead, else against it.
-    The steps at a position take it one way each, so the move is
-    unique."""
-    for name in path:
-        if k < len(steps) and steps[k].arrow == name and \
-                steps[k].forward == ahead:
-            k += 1
-        elif k and steps[k - 1].arrow == name and \
-                steps[k - 1].forward != ahead:
-            k -= 1
-        else:
-            return False
-    return True

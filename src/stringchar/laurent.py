@@ -215,6 +215,8 @@ class LaurentPoly:
     def coefficient(self, exponents):
         key = 0
         for v, e in exponents.items():
+            # a float exponent is refused, as by `monomial`
+            e = operator.index(e)
             if e:
                 unit = _UNITS.get(v)
                 if unit is None or abs(e) > EXPONENT_LIMIT:

@@ -18,6 +18,14 @@ class Arrow:
     target: object
 
 
+class _ByVertex(dict):
+    """The arrows out of or into each vertex; looking up a vertex the
+    quiver lacks raises QuiverError naming it."""
+
+    def __missing__(self, v):
+        raise QuiverError(f"unknown vertex {v!r}")
+
+
 class BoundIceQuiver:
     """A finite quiver with a frozen vertex set and monomial path relations.
 
@@ -86,8 +94,8 @@ class BoundIceQuiver:
                         f"relation {rel} is not composable at {first!r}->{second!r}")
             rels.append(rel)
         self.relations = tuple(rels)
-        self._from = {v: [] for v in self.vertices}
-        self._to = {v: [] for v in self.vertices}
+        self._from = _ByVertex((v, []) for v in self.vertices)
+        self._to = _ByVertex((v, []) for v in self.vertices)
         for arrow in self.arrows.values():
             self._from[arrow.source].append(arrow)
             self._to[arrow.target].append(arrow)
@@ -400,31 +408,52 @@ def extension_violation(q, steps, step):
     """The violation of the walk steps + (step,) on the windows that end at
     its last step: a backtrack, or a relation read forward or inverted.
     validate_string folds it over the steps of a walk, so a string is
-    extended by checking these windows alone."""
+    extended by checking these windows alone.
+
+    The relations are read by `_walks` from the last position.  A path
+    can only move back from there, since at each position it reaches the
+    step after is the one it came through, so it reads exactly the
+    windows that end at the new step: a relation is spelled forward when
+    its arrows, last first, lead back from there against their direction,
+    and inverted when its arrows, in order, lead back along it."""
     n = len(steps) + 1
     if steps and steps[-1].arrow == step.arrow and \
             steps[-1].forward != step.forward:
         return StringViolation(
             "backtrack", n - 1, (),
             f"step {n - 1} is immediately undone by step {n}")
+    walk = steps + (step,)
     for rel in q.relations:
-        k = len(rel)
-        # a window ending at step spells rel forward only if step is its
-        # last arrow, and inverted only if step is its first
-        if k > n or rel[-1 if step.forward else 0] != step.arrow:
-            continue
-        window = steps[n - k:] + (step,)
-        names = tuple(s.arrow for s in window)
-        if all(s.forward for s in window) and names == rel:
+        if _walks(walk, n, rel[::-1], False):
             spelled = "the relation"
-        elif not any(s.forward for s in window) and names[::-1] == rel:
+        elif _walks(walk, n, rel, True):
             spelled = "the inverse of the relation"
         else:
             continue
+        k = len(rel)
         return StringViolation(
             "relation", n - k + 1, rel,
             f"steps {n - k + 1}..{n} spell {spelled} {' '.join(rel)}")
     return None
+
+
+def _walks(steps, k, path, ahead):
+    """Whether the arrows of path, in turn, move on from position k of the
+    walk with these steps: along each arrow if ahead, else against it.
+    This is the one test of a path along a string: `extension_violation`
+    reads the relations with it, and the relation counts of
+    `homalg.simple_pairings` too.  Unless two steps at a position undo
+    each other, they take it one way each, so the move is unique."""
+    for name in path:
+        if k < len(steps) and steps[k].arrow == name and \
+                steps[k].forward == ahead:
+            k += 1
+        elif k and steps[k - 1].arrow == name and \
+                steps[k - 1].forward != ahead:
+            k -= 1
+        else:
+            return False
+    return True
 
 
 def is_valid_string(q, c):

@@ -138,6 +138,9 @@ def test_row_vector_matches_the_matrix_product():
                 _vertex_matrix_by_definition(q, c, i), (c, i)
         bracket = walk_matrix(q, c).bracket()
         assert walk_numerator(q, c) == bracket, c
+        ones = dict.fromkeys(q.vertices, LaurentPoly.one())
+        assert LaurentPoly.const(walk_count(c)) == \
+            bracket.substitute(ones), c
         denominator = {v: -e for v, e in walk_denominator(q, c).items()}
         assert walk_laurent(q, c) == \
             bracket * LaurentPoly.monomial(1, denominator), c

@@ -54,6 +54,29 @@ def test_coefficients_are_exact_integers():
         == -2 * x
 
 
+def test_coefficient_refuses_float_exponents():
+    x = LaurentPoly.var("x")
+    for bad in (1.0, 1.5):
+        with pytest.raises(TypeError):
+            x.coefficient({"x": bad})
+    # an unknown name or an exponent past the limit is still no term
+    assert x.coefficient({"x": 1, "never_interned": 0}) == 1
+    assert x.coefficient({"never_interned": 1}) == 0
+    assert x.coefficient({"x": EXPONENT_LIMIT + 1}) == 0
+    # the 41 names it interns would stay in this process's table
+    run_in_fresh_interpreter(_float_exponent_of_a_late_name)
+
+
+def _float_exponent_of_a_late_name():
+    # a name interned after 40 others has a key too wide for a float
+    for i in range(40):
+        LaurentPoly.var(f"early_{i}")
+    late = LaurentPoly.var("late")
+    assert late.coefficient({"late": 1}) == 1
+    with pytest.raises(TypeError):
+        late.coefficient({"late": 1.0})
+
+
 class _Unread(dict):
     """Terms that fail the test when read."""
 

@@ -8,6 +8,7 @@ from stringchar import BoundIceQuiver, InputParseError, InvalidStringError, \
     closure_and_border, enumerate_strings, ensure_string, is_valid_string, \
     principal_extension, pushforward, simple, string_module, validate_string
 from stringchar.character import pp_character
+from stringchar.formula import coefficient_monomial
 from stringchar.quiver import StringViolation
 
 from conftest import FIXTURES, caret_quiver, hand_built_quivers, load
@@ -305,6 +306,17 @@ def test_representation_checks():
                        {"alpha": [[1]], "beta": [[1]]})
 
 
+def test_unknown_vertex_raises_quiver_error():
+    q = load("a2ice")
+    for call in (lambda: q.arrows_from("nosuch"),
+                 lambda: q.arrows_to("nosuch"),
+                 lambda: q.b_entry("nosuch", "1"),
+                 lambda: q.b_entry("1", "nosuch"),
+                 lambda: coefficient_monomial(q, "nosuch", "y")):
+        with pytest.raises(QuiverError, match="unknown vertex 'nosuch'"):
+            call()
+
+
 def test_path_matrix_with_zero_dimensions():
     ice = load("a2ice")
     s = simple(ice, "1")
@@ -515,12 +527,17 @@ def _last_step(violation):
 
 TWO_CYCLE = BoundIceQuiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")],
                            relations=[("a", "b")])
+# the two steps at a position may use the same loop
+LOOP = BoundIceQuiver(["1", "2", "3"],
+                      [("a", "1", "1"), ("b", "1", "2"), ("c", "3", "1")],
+                      relations=[("a", "a", "a"), ("a", "b"), ("c", "b")])
 
 
 @pytest.mark.parametrize("q", [load("a3dec"), load("a4dec"), load("dcyclic3"),
-                               load("dcyclic4"), load("dcyclic5"), TWO_CYCLE],
+                               load("dcyclic4"), load("dcyclic5"), TWO_CYCLE,
+                               LOOP],
                          ids=["a3dec", "a4dec", "dcyclic3", "dcyclic4",
-                              "dcyclic5", "two-cycle"])
+                              "dcyclic5", "two-cycle", "loop"])
 def test_extension_check_reads_only_the_last_windows(q):
     """validate_string, the fold of the extension check, against the scan
     of every window: the same verdict on every walk, and the violation
