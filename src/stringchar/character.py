@@ -8,13 +8,11 @@ over the principal extension (Fomin-Zelevinsky, Cluster algebras IV)."""
 
 from __future__ import annotations
 
-import collections
-
 from .errors import K0IllDefined, NotSubtractionFree, QuiverError, \
     UnfrozenViolation
 from .homalg import _string_pass
 from .laurent import LaurentPoly
-from .quiver import ensure_string, principal_extension
+from .quiver import _vertex_ends, ensure_string, principal_extension
 
 
 class StringDiagram:
@@ -115,9 +113,9 @@ def _weights(q):
     exponent in prod_j w_j^e_j * x^-<S_.,M>."""
     weight = {}
     for j in q.vertices:
-        exps = collections.Counter(a.target for a in q.arrows_from(j))
-        exps.subtract(a.source for a in q.arrows_to(j))
-        weight[j] = LaurentPoly.monomial(1, exps)
+        out, into = _vertex_ends(q, j)
+        out.subtract(into)
+        weight[j] = LaurentPoly.monomial(1, out)
     return weight
 
 

@@ -4,10 +4,12 @@ exchange-style identity checks.
 
 The numerator N_c of L_c is the bracket [1,1] M [1;1] of a product M of
 2x2 step and vertex matrices.  `walk_numerator` evaluates it as a row
-vector carried along the walk, with three products by a cached monomial
-per step (`walk_step`); `walk_matrix` forms the full product and is kept
-as its oracle.  At weight 1 that row vector is the transfer state of the
-string diagram, so `walk_count` is the transfer product at weight 1."""
+vector carried along the walk and whole after every vertex, so N_c is the
+sum of its entries: each step multiplies it by one cached monomial matrix
+(`walk_step`), with three products.  `walk_matrix` forms the full product
+and is kept as its oracle.  At weight 1 that row vector is the transfer
+state of the string diagram, so `walk_count` is the transfer product at
+weight 1."""
 
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import weakref
 from .character import StringDiagram
 from .errors import QuiverError
 from .laurent import LaurentPoly, Mat2
+from .quiver import _vertex_ends
 
 
 def step_matrix(q, step):
@@ -34,9 +37,10 @@ def vertex_matrix(q, c, i):
     excluded; everything else incident to v_i contributes."""
     if not 1 <= i <= c.length + 1:
         raise QuiverError(f"vertex index {i} out of range 1..{c.length + 1}")
-    top, bottom = _vertex_monomials(q, c.vertices[i - 1], c.step_arrow(i - 1),
-                                    c.step_arrow(i))[:2]
-    return Mat2.diagonal(top, bottom)
+    top, bottom = _vertex_ends(q, c.vertices[i - 1],
+                               (c.step_arrow(i - 1), c.step_arrow(i)))
+    return Mat2.diagonal(LaurentPoly.monomial(1, top),
+                         LaurentPoly.monomial(1, bottom))
 
 
 def walk_matrix(q, c):
@@ -49,77 +53,81 @@ def walk_matrix(q, c):
     return product
 
 
-_vertex_cache = weakref.WeakKeyDictionary()
+def walk_start(q, v):
+    """The row vector [1,1] V'(1) of a walk from v, where V'(1) is the full
+    vertex matrix at v: the monomials of every arrow out of v and into v.
+    The first step leaves its own arrow out (`walk_step`)."""
+    top, bottom = _vertex_ends(q, v)
+    return LaurentPoly.monomial(1, top), LaurentPoly.monomial(1, bottom)
 
 
-def _vertex_monomials(q, v, before, after):
-    """The diagonal (top, bottom) of the vertex matrix at v, which leaves
-    out the arrows before and after of the steps on either side (None past
-    an end of the walk), as monomials; when a step follows, also top x_t
-    and bottom x_s for its arrow s -> t.  Built once per quiver, vertex and
-    pair of excluded arrows."""
-    cache = _vertex_cache.get(q)
-    if cache is None:
-        cache = _vertex_cache[q] = {}
-    key = v, before, after
-    entry = cache.get(key)
+_step_cache = weakref.WeakKeyDictionary()
+
+
+def _step_monomials(q, step, repeats):
+    """The entries (a, b, d) of the monomial matrix E A V' by which a walk
+    step multiplies the row vector: [[a, 0], [b, d]] for a forward step,
+    [[a, b], [0, d]] for an inverse one.  A is the step matrix, V' the
+    vertex matrix where the step ends without the step's arrow alone, and
+    E leaves that arrow out where the step starts, unless the step repeats
+    the arrow of the step before (a backtrack, or a loop taken twice),
+    whose V' has already left it out.  Built once per quiver, step and
+    repeat flag.
+
+    On an arrow that is neither a loop nor repeated, its variables cancel:
+    (a, b, d) is (T, T, B) forward and (T, B, B) inverse, with T and B
+    the monomials of every arrow out of and into the end vertex."""
+    cache = _step_cache.setdefault(q, {})
+    entry = cache.get((step, repeats))
     if entry is None:
-        excluded = before, after
-        top, bottom = {}, {}
-        for arrow in q.arrows_from(v):
-            if arrow.name not in excluded:
-                top[arrow.target] = top.get(arrow.target, 0) + 1
-        for arrow in q.arrows_to(v):
-            if arrow.name not in excluded:
-                bottom[arrow.source] = bottom.get(arrow.source, 0) + 1
-        entry = LaurentPoly.monomial(1, top), LaurentPoly.monomial(1, bottom)
-        if after is not None:
-            arrow = q.arrow(after)
-            s, t = arrow.source, arrow.target
-            entry += (LaurentPoly.monomial(1, {**top, t: top.get(t, 0) + 1}),
-                      LaurentPoly.monomial(1, {**bottom,
-                                               s: bottom.get(s, 0) + 1}))
-        cache[key] = entry
+        arrow = q.arrow(step.arrow)
+        s, t = arrow.source, arrow.target
+        start, end = (s, t) if step.forward else (t, s)
+        top, bottom = _vertex_ends(q, end, (arrow.name,))
+        # E divides the top by x_t if the arrow leaves the start, and the
+        # bottom by x_s if it enters it (both for a loop)
+        cut_top = not repeats and s == start
+        cut_bottom = not repeats and t == start
+        entry = (_shifted(top, t, 1 - cut_top),
+                 _shifted(top, s, -cut_bottom) if step.forward
+                 else _shifted(bottom, t, -cut_top),
+                 _shifted(bottom, s, 1 - cut_bottom))
+        cache[step, repeats] = entry
     return entry
 
 
+def _shifted(exps, v, e):
+    """The monomial x^exps x_v^e."""
+    return LaurentPoly.monomial(1, {**exps, v: exps[v] + e})
+
+
 def walk_step(q, vector, c, i):
-    """The row vector (l, r) times V_c(i) A(c_i) for the 1-based step i of
-    the walk c.  With V_c(i) = diag(top, bottom) and the step on an arrow
-    s -> t, a forward step maps it to (l top x_t + r bottom, r bottom x_s),
-    an inverse one to (l top x_t, l top + r bottom x_s).  V_c(i) leaves out
-    the arrows of the steps i-1 and i, so it is known only once the step
-    after v_i is."""
+    """The row vector (l, r) = [1,1] V(1) A(c_1) ... A(c_(i-1)) V'(i) of
+    the walk c times E A(c_i) V'(i+1) for its 1-based step i
+    (`_step_monomials`): a forward step maps it to (l a + r b, r d), an
+    inverse one to (l a, l b + r d).  V'(k) is the vertex matrix at v_k
+    without the arrow of step k-1 alone, and V'(i) E = V(i).  At the last
+    vertex no step follows, so V'(n+1) = V(n+1) and N_c = l + r."""
     step = c.steps[i - 1]
-    top, bottom, top_xt, bottom_xs = _vertex_monomials(
-        q, c.vertices[i - 1], c.step_arrow(i - 1), step.arrow)
+    a, b, d = _step_monomials(q, step, c.step_arrow(i - 1) == step.arrow)
     left, right = vector
     if step.forward:
-        return left * top_xt + right * bottom, right * bottom_xs
-    return left * top_xt, left * top + right * bottom_xs
-
-
-def walk_end(q, vector, c):
-    """The bracket N = l top + r bottom of the row vector (l, r) of the
-    walk c with its last vertex matrix and [1;1]."""
-    top, bottom = _vertex_monomials(q, c.target, c.step_arrow(len(c.steps)),
-                                    None)
-    left, right = vector
-    return left * top + right * bottom
+        return left * a + right * b, right * d
+    return left * a, left * b + right * d
 
 
 def walk_numerator(q, c):
     """N_c = [1,1] V_c(1) A(c_1) V_c(2) ... A(c_n) V_c(n+1) [1;1].
 
     The bracket is evaluated as a row vector (l, r) carried along the walk
-    from [1,1]: each step multiplies it by the vertex matrix where the step
-    starts and by the step matrix (`walk_step`), and N_c is the bracket with
-    the last vertex matrix (`walk_end`).
+    from `walk_start`: each step multiplies it by one monomial matrix
+    (`walk_step`), and N_c = l + r.
     """
-    vector = 1, 1
+    vector = walk_start(q, c.source)
     for i in range(1, c.length + 1):
         vector = walk_step(q, vector, c, i)
-    return walk_end(q, vector, c)
+    left, right = vector
+    return left + right
 
 
 def walk_denominator(q, c):
@@ -192,17 +200,12 @@ def frieze_entry(word):
 def coefficient_monomial(q, i, kind):
     """y_i (kind='y': frozen arrows into i) or z_i (kind='z': frozen arrows
     out of i) as a monomial in the frozen variables."""
-    if kind == "y":
-        ends = [arrow.source for arrow in q.arrows_to(i)]
-    elif kind == "z":
-        ends = [arrow.target for arrow in q.arrows_from(i)]
-    else:
+    if kind not in ("y", "z"):
         raise ValueError(f"kind must be 'y' or 'z', got {kind!r}")
-    exps = {}
-    for v in ends:
-        if v in q.frozen:
-            exps[v] = exps.get(v, 0) + 1
-    return LaurentPoly.monomial(1, exps)
+    out, into = _vertex_ends(q, i)
+    ends = into if kind == "y" else out
+    return LaurentPoly.monomial(1, {v: e for v, e in ends.items()
+                                    if v in q.frozen})
 
 
 def w_monomial(q, i):

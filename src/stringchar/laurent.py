@@ -215,7 +215,10 @@ class LaurentPoly:
     def coefficient(self, exponents):
         key = 0
         for v, e in exponents.items():
-            # a float exponent is refused, as by `monomial`
+            # a name that is not a string, or a float exponent, is refused
+            # as by `monomial`, but an unknown name is not interned
+            if not isinstance(v, str):
+                raise TypeError(f"Laurent variable {v!r} is not a string")
             e = operator.index(e)
             if e:
                 unit = _UNITS.get(v)

@@ -3,6 +3,7 @@ string modules, principal extensions, blow-ups and windings."""
 
 from __future__ import annotations
 
+import collections
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -151,7 +152,7 @@ class BoundIceQuiver:
     def full_subquiver(self, vertex_subset):
         """The full subquiver on the given vertices, keeping the frozen
         status and every relation whose arrows all survive."""
-        keep = set(vertex_subset)
+        keep = _known(self, vertex_subset)
         vertices = [v for v in self.vertices if v in keep]
         arrows = [a for a in self.arrows.values()
                   if a.source in keep and a.target in keep]
@@ -394,7 +395,7 @@ def validate_string(q, c):
     the violation reported is the first along the walk: one whose window
     ends first, a backtrack before a relation.
     """
-    if c.quiver is not q and c.steps:
+    if c.quiver is not q:
         c = c.on(q)
     steps = c.steps
     for i, step in enumerate(steps):
@@ -454,6 +455,19 @@ def _walks(steps, k, path, ahead):
         else:
             return False
     return True
+
+
+def _vertex_ends(q, v, excluded=()):
+    """The far ends of the arrows out of v and of the arrows into v,
+    leaving out the arrows named in excluded, as two Counters.  These are
+    the exponents of every monomial at v: the top and bottom of a walk's
+    vertex matrices and steps (`formula`), the numerator and denominator
+    of the character's weight (`character._weights`) and, on the frozen
+    ends, z_v and y_v (`formula.coefficient_monomial`)."""
+    return (collections.Counter(a.target for a in q._from[v]
+                                if a.name not in excluded),
+            collections.Counter(a.source for a in q._to[v]
+                                if a.name not in excluded))
 
 
 def is_valid_string(q, c):
@@ -593,13 +607,23 @@ def principal_extension(q):
 def support_closure(q, support):
     """The closure of a set of vertices: the set and its one-arrow
     neighbours."""
-    closure = set(support)
+    closure = _known(q, support)
     for arrow in q.arrows.values():
         if arrow.source in support:
             closure.add(arrow.target)
         if arrow.target in support:
             closure.add(arrow.source)
     return closure
+
+
+def _known(q, vertices):
+    """The vertices as a set; raises QuiverError naming the first, in
+    sorted order, that q lacks."""
+    vertices = set(vertices)
+    unknown = vertices - q.vertex_set
+    if unknown:
+        raise QuiverError(f"unknown vertex {min(unknown, key=str)!r}")
+    return vertices
 
 
 def closure_and_border(q, rep):

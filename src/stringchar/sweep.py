@@ -6,9 +6,9 @@ a string one step longer than its parent costs a fixed number of Laurent
 operations on the parent's state, whatever its length (the transfer-matrix
 method, Stanley, Enumerative Combinatorics I, 4.7).  A string carries:
 
-- the walk's row vector (l, r) before its last vertex matrix, which leaves
-  out the arrows of the steps on both sides of the last vertex and so is
-  known only once the next step is (`formula.walk_step`);
+- the walk's row vector (l, r), whole after every vertex, so that
+  N_c = l + r; each step multiplies it by one cached monomial matrix
+  (`formula.walk_step`);
 - the transfer pair (out, inn) at the character's weights, and its sum
   (`character.transfer_step`).
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .character import _character, _check_descent, _require_loop_free, \
     _weights, transfer_step
-from .formula import walk_end, walk_step
+from .formula import walk_start, walk_step
 from .homalg import _PositionCount, _require_finite
 from .laurent import LaurentPoly
 from .quiver import string_tree
@@ -80,7 +80,7 @@ def sweep(q, max_length):
     # total)
     def root(c):
         w = weight[c.source]
-        return (1, 1), (1, w, 1 + w)
+        return walk_start(q, c.source), (1, w, 1 + w)
 
     def extend(state, c):
         vector, transfer = state
@@ -88,11 +88,11 @@ def sweep(q, max_length):
                 transfer_step(transfer, c.steps[-1].forward,
                               weight[c.target]))
 
-    for c, (vector, transfer) in string_tree(q, max_length, True, root,
-                                             extend):
+    for c, ((left, right), transfer) in string_tree(q, max_length, True,
+                                                    root, extend):
         counts = positions.count(c)
         _check_descent(q, c, counts)
-        numerator = walk_end(q, vector, c)
+        numerator = left + right
         holds = transfer[2] * LaurentPoly.monomial(
             1, counts.arrow_sums(q)) == numerator
         yield Swept(q, c, counts, transfer[2], numerator, holds)

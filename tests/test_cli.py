@@ -124,13 +124,18 @@ def test_verify(capsys):
 
 
 def test_verify_reports_each_failure(capsys, monkeypatch):
-    # break the walk side of the identity on the strings of length 1
-    walk_end = stringchar.sweep.walk_end
+    # break the shift x^(A dim M) of the identity on the strings of length
+    # 1: their counts are their own, so no longer string inherits the fault
+    count = stringchar.sweep._PositionCount.count
 
-    def broken(q, vector, c):
-        return walk_end(q, vector, c) + (1 if c.length == 1 else 0)
+    def broken(self, c):
+        counts = count(self, c)
+        if c.length == 1:
+            for v in counts.dims:
+                counts.dims[v] += 1
+        return counts
 
-    monkeypatch.setattr(stringchar.sweep, "walk_end", broken)
+    monkeypatch.setattr(stringchar.sweep._PositionCount, "count", broken)
     code, out, _ = run(capsys, "verify", fixture("a3"), "--max-length", "3")
     lines = out.splitlines()
     failed = [f"FAIL  {c}" for c in enumerate_strings(load("a3"), 1)

@@ -9,9 +9,11 @@ from stringchar import BoundIceQuiver, LaurentPoly, Mat2, QuiverError, \
     principal_extension, step_matrix, string_module, vertex_matrix, \
     w_monomial, walk_count, walk_denominator, walk_laurent, walk_matrix, \
     walk_numerator
+from stringchar.character import _weights
+from stringchar.formula import _step_monomials
 from stringchar.quiver import Step
 
-from conftest import FIXTURES, caret_quiver, load
+from conftest import FIXTURES, caret_quiver, hand_built_quivers, load
 
 
 def var(v, power=1):
@@ -146,6 +148,42 @@ def test_row_vector_matches_the_matrix_product():
             bracket * LaurentPoly.monomial(1, denominator), c
         count += 1
     assert count > 1000
+
+
+def test_a_step_on_a_plain_arrow_is_a_transfer_step_times_a_monomial():
+    """On an arrow that is neither a loop nor repeated, a walk step's
+    monomials are (T, T, B) forward and (T, B, B) inverse, T and B the
+    products over every arrow out of and into the end vertex.  As
+    T = B w with w the character's weight there, such a step is B times
+    `transfer_step` on (inn, out); a loop's step is not of this form."""
+    quivers = [BoundIceQuiver.from_file(path)
+               for path in sorted(FIXTURES.glob("*.quiver"))]
+    checked = 0
+    for q in quivers + hand_built_quivers() + [caret_quiver()]:
+        weight = _weights(q)
+        for arrow in q.arrows.values():
+            if arrow.source == arrow.target:
+                continue
+            for forward in (True, False):
+                end = arrow.target if forward else arrow.source
+                top, bottom = _full_monomials(q, end)
+                assert top == bottom * weight[end]
+                assert _step_monomials(q, Step(arrow.name, forward), False) \
+                    == ((top, top, bottom) if forward
+                        else (top, bottom, bottom)), (arrow, forward)
+                checked += 1
+    assert checked == 200
+    loop = BoundIceQuiver(["1", "2"], [("a", "1", "1"), ("b", "1", "2")])
+    top, bottom = _full_monomials(loop, "1")
+    assert _step_monomials(loop, Step("a", True), False) != \
+        (top, top, bottom)
+    assert _step_monomials(loop, Step("a", False), False) != \
+        (top, bottom, bottom)
+
+
+def _full_monomials(q, v):
+    full = _vertex_matrix_by_definition(q, Walk.trivial(q, v), 1)
+    return full.a, full.d
 
 
 def test_walk_matrix_determinant_is_a_monomial():

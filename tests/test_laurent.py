@@ -67,6 +67,16 @@ def test_coefficient_refuses_float_exponents():
     run_in_fresh_interpreter(_float_exponent_of_a_late_name)
 
 
+def test_coefficient_refuses_a_name_that_is_not_a_string():
+    x = LaurentPoly.var("x")
+    interned = len(_NAMES)
+    for exponent in (1, 0):
+        with pytest.raises(TypeError, match="Laurent variable 1 is not a "
+                                            "string"):
+            x.coefficient({1: exponent})
+    assert len(_NAMES) == interned
+
+
 def _float_exponent_of_a_late_name():
     # a name interned after 40 others has a key too wide for a float
     for i in range(40):

@@ -9,7 +9,7 @@ from stringchar import BoundIceQuiver, InputParseError, InvalidStringError, \
     principal_extension, pushforward, simple, string_module, validate_string
 from stringchar.character import pp_character
 from stringchar.formula import coefficient_monomial
-from stringchar.quiver import StringViolation
+from stringchar.quiver import StringViolation, support_closure
 
 from conftest import FIXTURES, caret_quiver, hand_built_quivers, load
 
@@ -315,6 +315,26 @@ def test_unknown_vertex_raises_quiver_error():
                  lambda: coefficient_monomial(q, "nosuch", "y")):
         with pytest.raises(QuiverError, match="unknown vertex 'nosuch'"):
             call()
+
+
+def test_a_vertex_set_naming_an_unknown_vertex_is_refused():
+    q = load("a2ice")
+    for call in (lambda: q.full_subquiver(["nosuch", "1"]),
+                 lambda: q.full_subquiver(["zz", "nosuch"]),
+                 lambda: support_closure(q, {"nosuch"})):
+        with pytest.raises(QuiverError, match="unknown vertex 'nosuch'"):
+            call()
+    assert q.full_subquiver(["1"]).vertices == ("1",)
+    assert support_closure(q, {"1"}) == {"1", "2", "3"}
+
+
+def test_a_trivial_walk_of_another_quiver_is_read_on_this_one():
+    a2, diamond5 = load("a2"), load("diamond5")
+    for check in (is_valid_string, validate_string, ensure_string):
+        with pytest.raises(QuiverError, match="unknown vertex '5'"):
+            check(a2, Walk.trivial(diamond5, "5"))
+    assert is_valid_string(a2, Walk.trivial(diamond5, "1"))
+    assert ensure_string(a2, Walk.trivial(diamond5, "1")).quiver is a2
 
 
 def test_path_matrix_with_zero_dimensions():
