@@ -1,6 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 domain error, 2 input parse error.
+
+Each command imports the modules it runs in its own branch, so a process
+loads only those, besides this module, `errors` and `quiver`.
 """
 
 from __future__ import annotations
@@ -10,10 +13,8 @@ import functools
 import json
 import sys
 
-from . import character, formula, homalg, mutation
 from .errors import InputParseError, StringCharError
-from .quiver import BoundIceQuiver, Walk
-from .sweep import sweep
+from .quiver import BoundIceQuiver, Walk, string_module
 
 
 @functools.cache
@@ -106,32 +107,38 @@ def _emit_poly(f, as_json):
 def _run(args):
     q = BoundIceQuiver.from_file(args.quiverfile)
     if args.command == "lpoly":
+        from . import formula
         c = Walk.parse(q, args.walk)
         _emit_poly(formula.walk_laurent(q, c), args.json)
     elif args.command == "lcount":
+        from . import formula
         c = Walk.parse(q, args.walk)
         print(formula.walk_count(c))
     elif args.command == "character":
+        from . import character
         c = Walk.parse(q, args.string)
         _emit_poly(character.cluster_character(q, c), args.json)
     elif args.command == "chi":
+        from . import character
         c = Walk.parse(q, args.string)
         if args.dimvec is None:
             print(character.total_gr_euler(c))
         else:
             print(character.gr_euler(c, _parse_dimvec(q, args.dimvec)))
     elif args.command == "normalise":
+        from . import homalg
         c = Walk.parse(q, args.string)
         vector = homalg.normalisation_vector(q, c)
         print(json.dumps(dict(sorted(vector.items()))))
     elif args.command == "euler":
-        from .quiver import string_module
+        from . import homalg
         lhs = string_module(q, Walk.parse(q, args.lhs))
         rhs = string_module(q, Walk.parse(q, args.rhs))
         truncated, anti = homalg.euler_forms(q, lhs, rhs)
         print(json.dumps({"truncated": truncated,
                           "antisymmetrised": anti}))
     elif args.command == "enumerate":
+        from . import mutation
         depth = _nonnegative("--depth", args.depth)
         seed = mutation.seed_from_ice_quiver(q)
         variables = mutation.enumerate_cluster_variables(seed, depth)
@@ -141,6 +148,7 @@ def _run(args):
             for f in variables:
                 print(f.text())
     elif args.command == "match":
+        from . import character, mutation
         depth = _nonnegative("--depth", args.depth)
         c = Walk.parse(q, args.string)
         f = character.cluster_character(q, c)
@@ -155,6 +163,7 @@ def _run(args):
 
 
 def _verify(q, max_length):
+    from .sweep import sweep
     failures = 0
     for swept in sweep(q, max_length):
         status = "PASS" if swept.holds else "FAIL"

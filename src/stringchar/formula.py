@@ -6,10 +6,10 @@ The numerator N_c of L_c is the bracket [1,1] M [1;1] of a product M of
 2x2 step and vertex matrices.  `walk_numerator` evaluates it as a row
 vector carried along the walk and whole after every vertex, so N_c is the
 sum of its entries: each step multiplies it by one cached monomial matrix
-(`walk_step`), with three products.  `walk_matrix` forms the full product
-and is kept as its oracle.  At weight 1 that row vector is the transfer
-state of the string diagram, so `walk_count` is the transfer product at
-weight 1."""
+(`walk_step`), with two products where two of its monomials are equal and
+three elsewhere.  `walk_matrix` forms the full product and is kept as its
+oracle.  At weight 1 that row vector is the transfer state of the string
+diagram, so `walk_count` is the transfer product at weight 1."""
 
 from __future__ import annotations
 
@@ -67,16 +67,18 @@ _step_cache = weakref.WeakKeyDictionary()
 def _step_monomials(q, step, repeats):
     """The entries (a, b, d) of the monomial matrix E A V' by which a walk
     step multiplies the row vector: [[a, 0], [b, d]] for a forward step,
-    [[a, b], [0, d]] for an inverse one.  A is the step matrix, V' the
-    vertex matrix where the step ends without the step's arrow alone, and
-    E leaves that arrow out where the step starts, unless the step repeats
-    the arrow of the step before (a backtrack, or a loop taken twice),
-    whose V' has already left it out.  Built once per quiver, step and
-    repeat flag.
+    [[a, b], [0, d]] for an inverse one, and whether the two entries that
+    meet in one sum are equal: a == b forward, b == d inverse.  A is the
+    step matrix, V' the vertex matrix where the step ends without the
+    step's arrow alone, and E leaves that arrow out where the step starts,
+    unless the step repeats the arrow of the step before (a backtrack, or
+    a loop taken twice), whose V' has already left it out.  Built once per
+    quiver, step and repeat flag.
 
     On an arrow that is neither a loop nor repeated, its variables cancel:
     (a, b, d) is (T, T, B) forward and (T, B, B) inverse, with T and B
-    the monomials of every arrow out of and into the end vertex."""
+    the monomials of every arrow out of and into the end vertex, so the
+    two entries are equal."""
     cache = _step_cache.setdefault(q, {})
     entry = cache.get((step, repeats))
     if entry is None:
@@ -88,10 +90,14 @@ def _step_monomials(q, step, repeats):
         # bottom by x_s if it enters it (both for a loop)
         cut_top = not repeats and s == start
         cut_bottom = not repeats and t == start
-        entry = (_shifted(top, t, 1 - cut_top),
-                 _shifted(top, s, -cut_bottom) if step.forward
-                 else _shifted(bottom, t, -cut_top),
-                 _shifted(bottom, s, 1 - cut_bottom))
+        a = _shifted(top, t, 1 - cut_top)
+        d = _shifted(bottom, s, 1 - cut_bottom)
+        if step.forward:
+            b = _shifted(top, s, -cut_bottom)
+            entry = (a, b, d, a == b)
+        else:
+            b = _shifted(bottom, t, -cut_top)
+            entry = (a, b, d, b == d)
         cache[step, repeats] = entry
     return entry
 
@@ -105,15 +111,20 @@ def walk_step(q, vector, c, i):
     """The row vector (l, r) = [1,1] V(1) A(c_1) ... A(c_(i-1)) V'(i) of
     the walk c times E A(c_i) V'(i+1) for its 1-based step i
     (`_step_monomials`): a forward step maps it to (l a + r b, r d), an
-    inverse one to (l a, l b + r d).  V'(k) is the vertex matrix at v_k
-    without the arrow of step k-1 alone, and V'(i) E = V(i).  At the last
-    vertex no step follows, so V'(n+1) = V(n+1) and N_c = l + r."""
+    inverse one to (l a, l b + r d), and the sum is one product (l + r) a
+    or (l + r) d where its two monomials are equal.  V'(k) is the vertex
+    matrix at v_k without the arrow of step k-1 alone, and V'(i) E = V(i).
+    At the last vertex no step follows, so V'(n+1) = V(n+1) and
+    N_c = l + r."""
     step = c.steps[i - 1]
-    a, b, d = _step_monomials(q, step, c.step_arrow(i - 1) == step.arrow)
+    a, b, d, equal = _step_monomials(q, step,
+                                     c.step_arrow(i - 1) == step.arrow)
     left, right = vector
     if step.forward:
-        return left * a + right * b, right * d
-    return left * a, left * b + right * d
+        first = (left + right) * a if equal else left * a + right * b
+        return first, right * d
+    second = (left + right) * d if equal else left * b + right * d
+    return left * a, second
 
 
 def walk_numerator(q, c):

@@ -5,18 +5,15 @@ from __future__ import annotations
 
 import collections
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
 
-from . import exactmat
 from .errors import InputParseError, InvalidStringError, QuiverError
 
 
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    source: object
-    target: object
+class Arrow(collections.namedtuple("Arrow", "name source target")):
+    """An arrow of a quiver: a named tuple, so immutable and compared and
+    hashed by its fields."""
+
+    __slots__ = ()
 
 
 class _ByVertex(dict):
@@ -230,10 +227,12 @@ class BoundIceQuiver:
         return cls.from_text(text)
 
 
-@dataclass(frozen=True)
-class Step:
-    arrow: str
-    forward: bool
+class Step(collections.namedtuple("Step", "arrow forward")):
+    """One step of a walk: the name of its arrow, taken forward or as a
+    formal inverse.  A named tuple, so immutable and compared and hashed
+    by its fields."""
+
+    __slots__ = ()
 
     def inverse(self):
         return Step(self.arrow, not self.forward)
@@ -374,12 +373,41 @@ def _step_ends(quiver, step, end=None, index=1):
     return source, target
 
 
-@dataclass(frozen=True)
 class StringViolation:
-    kind: str            # "backtrack" or "relation"
-    index: int           # 1-based step index where the problem starts
-    relation: tuple      # the offending relation path, if any
-    message: str
+    """Why a walk is not a string: its kind ("backtrack" or "relation"),
+    the 1-based step index where the problem starts, the offending
+    relation path, if any, and the message.  Immutable and compared and
+    hashed by its fields; not a named tuple, whose `index` method the
+    field of that name would hide."""
+
+    __slots__ = ("kind", "index", "relation", "message")
+
+    def __init__(self, kind, index, relation, message):
+        for name, value in zip(self.__slots__,
+                               (kind, index, relation, message)):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, *_value):
+        raise AttributeError(f"StringViolation is immutable: cannot set or "
+                             f"delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._values()))
+        return f"StringViolation({fields})"
 
     def __str__(self):
         return self.message
@@ -494,6 +522,7 @@ class Representation:
     """
 
     def __init__(self, quiver, dims, mats=None, check_relations=True):
+        from . import exactmat
         self.quiver = quiver
         mats = mats or {}
         for v in dims:
@@ -536,6 +565,7 @@ class Representation:
 
     def path_matrix(self, path):
         """Composite matrix of a left-to-right composable arrow path."""
+        from . import exactmat
         first = self.quiver.arrow(path[0])
         product = self.mats[first.name]
         for name in path[1:]:
@@ -567,6 +597,9 @@ def string_module(q, c):
     Basis vector z_i sits at the i-th walk vertex; a forward step at
     position i sends z_i to z_{i+1}, an inverse step sends z_{i+1} to z_i.
     """
+    from fractions import Fraction
+
+    from . import exactmat
     c = ensure_string(q, c)
     # local[k]: the slot of position k among the positions at its vertex
     dims, local = {}, []
@@ -684,6 +717,7 @@ class Winding:
 
 def pushforward(phi, rep):
     """Direct sum of fibres: block matrices in the sorted preimage order."""
+    from . import exactmat
     if rep.quiver is not phi.source:
         rep = Representation(phi.source, rep.dims, rep.mats,
                              check_relations=False)
@@ -714,6 +748,8 @@ def blow_up(q, c):
     Returns (blown-up ice quiver, winding onto the closure of the support,
     spine representation).
     """
+    from fractions import Fraction
+
     c = ensure_string(q, c)
     module = string_module(q, c)
     closure, _border = closure_and_border(q, module)

@@ -153,9 +153,10 @@ def test_row_vector_matches_the_matrix_product():
 def test_a_step_on_a_plain_arrow_is_a_transfer_step_times_a_monomial():
     """On an arrow that is neither a loop nor repeated, a walk step's
     monomials are (T, T, B) forward and (T, B, B) inverse, T and B the
-    products over every arrow out of and into the end vertex.  As
-    T = B w with w the character's weight there, such a step is B times
-    `transfer_step` on (inn, out); a loop's step is not of this form."""
+    products over every arrow out of and into the end vertex, so its sum
+    is one product.  As T = B w with w the character's weight there, such
+    a step is B times `transfer_step` on (inn, out); a loop's step is not
+    of this form."""
     quivers = [BoundIceQuiver.from_file(path)
                for path in sorted(FIXTURES.glob("*.quiver"))]
     checked = 0
@@ -169,16 +170,20 @@ def test_a_step_on_a_plain_arrow_is_a_transfer_step_times_a_monomial():
                 top, bottom = _full_monomials(q, end)
                 assert top == bottom * weight[end]
                 assert _step_monomials(q, Step(arrow.name, forward), False) \
-                    == ((top, top, bottom) if forward
-                        else (top, bottom, bottom)), (arrow, forward)
+                    == ((top, top, bottom, True) if forward
+                        else (top, bottom, bottom, True)), (arrow, forward)
                 checked += 1
     assert checked == 200
     loop = BoundIceQuiver(["1", "2"], [("a", "1", "1"), ("b", "1", "2")])
     top, bottom = _full_monomials(loop, "1")
-    assert _step_monomials(loop, Step("a", True), False) != \
+    assert _step_monomials(loop, Step("a", True), False)[:3] != \
         (top, top, bottom)
-    assert _step_monomials(loop, Step("a", False), False) != \
+    assert _step_monomials(loop, Step("a", False), False)[:3] != \
         (top, bottom, bottom)
+    # a loop's sums are two products each: its monomials differ
+    for forward in (True, False):
+        for repeats in (True, False):
+            assert not _step_monomials(loop, Step("a", forward), repeats)[3]
 
 
 def _full_monomials(q, v):

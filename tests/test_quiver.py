@@ -3,10 +3,11 @@ extensions, blow-ups, windings and string enumeration."""
 
 import pytest
 
-from stringchar import BoundIceQuiver, InputParseError, InvalidStringError, \
-    QuiverError, Representation, Step, Walk, Winding, blow_up, \
-    closure_and_border, enumerate_strings, ensure_string, is_valid_string, \
-    principal_extension, pushforward, simple, string_module, validate_string
+from stringchar import Arrow, BoundIceQuiver, InputParseError, \
+    InvalidStringError, QuiverError, Representation, Step, Walk, Winding, \
+    blow_up, closure_and_border, enumerate_strings, ensure_string, \
+    is_valid_string, principal_extension, pushforward, simple, \
+    string_module, validate_string
 from stringchar.character import pp_character
 from stringchar.formula import coefficient_monomial
 from stringchar.quiver import StringViolation, support_closure
@@ -589,6 +590,36 @@ def test_the_first_violation_along_the_walk_is_reported():
     assert info.value.violation == StringViolation(
         "relation", 1, ("alpha", "beta"),
         "steps 1..2 spell the relation alpha beta")
+
+
+def test_arrows_steps_and_violations_are_values():
+    message = "steps 1..2 spell the relation alpha beta"
+    cases = [
+        (Arrow, ("a", "1", "2"), ("a", "2", "1"),
+         "Arrow(name='a', source='1', target='2')"),
+        (Step, ("a", True), ("a", False), "Step(arrow='a', forward=True)"),
+        (StringViolation, ("relation", 1, ("alpha", "beta"), message),
+         ("relation", 2, ("alpha", "beta"), message),
+         "StringViolation(kind='relation', index=1, "
+         "relation=('alpha', 'beta'), message='steps 1..2 spell the "
+         "relation alpha beta')"),
+    ]
+    for cls, fields, other, text in cases:
+        value = cls(*fields)
+        assert repr(value) == text
+        assert value == cls(*fields) and hash(value) == hash(cls(*fields))
+        assert value != cls(*other)
+        for name in (*dir(value), "unknown"):
+            if not name.startswith("_"):
+                with pytest.raises(AttributeError):
+                    setattr(value, name, None)
+        assert value == cls(*fields)
+    assert Step("a", True).inverse() == Step("a", False)
+    violation = StringViolation(*cases[2][1])
+    assert str(violation) == violation.message
+    q = load("a2ice")
+    with pytest.raises(InvalidStringError, match=f"^{message}$"):
+        ensure_string(q, Walk.parse(q, "alpha beta"))
 
 
 def test_extend_checks_the_junction():
