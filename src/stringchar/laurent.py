@@ -11,13 +11,17 @@ lex order, the variable with the highest index first.  That order is a
 group order on Z^n, so `exact_div` divides Laurent polynomials directly by
 leading terms, and a heap of keys gives it the leading term of each
 remainder (Johnson 1974; Monagan and Pearce, "Polynomial division using
-dynamic arrays, heaps, and packed exponent vectors", CASC 2007).
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  A
+one-term divisor needs neither: the quotient is the dividend with its
+keys shifted and its coefficients divided, as in a product by one term.
 
 Names appear only at the edges.  `_columns` decodes all the keys of a
-polynomial in one pass, into one column of exponents per field.
-`monomials`, `text`, JSON, `as_unit` and `substitute` read those columns
-with the variables sorted by name, so no output depends on the intern
-order; `coefficient` packs the monomial it is asked for instead.
+polynomial in one pass, into one column of exponents per field, and
+`_rows` turns them into one row of exponents per key, the variables
+sorted by name.  `monomials`, `text`, JSON, `as_unit` and `substitute`
+read those rows, so no output depends on the intern order; `text`
+formats each term straight from its row.  `coefficient` packs the
+monomial it is asked for instead.
 
 Every exponent lies within +-EXPONENT_LIMIT (2**29 - 1).  Each polynomial
 carries a bound on the absolute value of its exponents, and an operation
@@ -302,14 +306,20 @@ class LaurentPoly:
                     f"cannot raise non-unit {self} to power {n}")
             (key, coeff), = self.terms.items()
             return LaurentPoly({-key: coeff}, self.bound) ** (-n)
-        result = LaurentPoly.one()
+        if n == 0:
+            return LaurentPoly.one()
+        # the result starts as the base's power at the lowest set bit of n
         base = self
+        while not n & 1:
+            base = base._square()
+            n >>= 1
+        result = base
+        n >>= 1
         while n:
+            base = base._square()
             if n & 1:
                 result = result * base
             n >>= 1
-            if n:
-                base = base._square()
         return result
 
     def _square(self):
@@ -348,25 +358,53 @@ class LaurentPoly:
     def exact_div(self, other):
         """Return q with q * other == self, or raise NotDivisible.
 
-        Divides by leading terms in the lex order of the keys.  If the
-        quotient q exists, its minimum and maximum exponent in each variable
-        are those of self minus those of other, and its least term is the
-        least term of self over that of other.  A candidate quotient term
-        outside that box, or below that term, proves that no quotient
-        exists.  Refusing them keeps every remainder term within the
-        exponent ranges of self, and it ends the division: every step emits
-        a new quotient term, and the box holds finitely many.
+        A one-term divisor shifts the keys and divides the coefficients;
+        a coefficient with a remainder raises NotDivisible.  The quotient's
+        bound is its largest absolute exponent, read off its keys.
+
+        Any other divisor is divided by leading terms in the lex order of
+        the keys.  If the quotient q exists, its minimum and maximum
+        exponent in each variable are those of self minus those of other,
+        and its least term is the least term of self over that of other.
+        A candidate quotient term outside that box, or below that term,
+        proves that no quotient exists.  Refusing them keeps every
+        remainder term within the exponent ranges of self, and it ends the
+        division: every step emits a new quotient term, and the box holds
+        finitely many.
 
         The remainder is a dict, and a max-heap holds an entry for each of
         its keys; an entry whose term has cancelled is dropped when it
         reaches the top, so no step rescans the remainder for its lead.
+        Each step deletes the remainder's lead, which cancels by
+        construction, and subtracts the quotient term times the divisor's
+        other terms, each kept as its offset from the divisor's lead.
+
+        A divisor that is neither a LaurentPoly nor an int raises
+        TypeError, and a zero divisor ZeroDivisionError.
         """
+        divisor = other
         other = self._coerce(other)
-        if other is None or other.is_zero():
+        if other is None:
+            raise TypeError(f"cannot divide a Laurent polynomial by "
+                            f"{type(divisor).__name__!r}")
+        if other.is_zero():
             raise ZeroDivisionError("division of a Laurent polynomial by zero")
         if self.is_zero():
             return LaurentPoly.zero()
         a, b = self.terms, other.terms
+        if len(b) == 1:
+            (b_key, b_coeff), = b.items()
+            keys = [key - b_key for key in a]
+            low, high = _extent(keys, _width(keys))
+            bound = max(map(abs, low + high))
+            _check_limit(bound, "the quotient")
+            coeffs = []
+            for coeff in a.values():
+                q_coeff, rem = divmod(coeff, b_coeff)
+                if rem != 0:
+                    raise NotDivisible(f"{self} is not divisible by {other}")
+                coeffs.append(q_coeff)
+            return LaurentPoly(dict(zip(keys, coeffs)), bound)
         n = _width((*a, *b))
         a_low, a_high = _extent(a, n)
         b_low, b_high = _extent(b, n)
@@ -376,39 +414,48 @@ class LaurentPoly:
             raise NotDivisible(f"{self} is not divisible by {other}")
         bound = max(map(abs, low + high), default=0)
         _check_limit(bound, "the quotient")
-        low, high = _from_fields(low), _from_fields(high)
+        lead_b = max(b)
+        lead_b_coeff = b[lead_b]
+        tail = [(key - lead_b, -coeff) for key, coeff in b.items()
+                if key != lead_b]
+        # the box and the least term, shifted by the divisor's lead, bound
+        # the remainder's lead instead of the quotient term
+        least = min(a) - min(b) + lead_b
+        low = _from_fields(low) + lead_b
+        high = _from_fields(high) + lead_b
         # the mask spans the operands' n fields and one more, where low and
         # high are 0, so a candidate with a nonzero field above theirs fails
         signs = _halves(n + 1)
-        least = min(a) - min(b)
-        lead_b = max(b)
-        lead_b_coeff = b[lead_b]
         quotient = {}
         remainder = dict(a)
         heap = [-key for key in a]    # heapq is a min-heap
         heapq.heapify(heap)
+        pop, push = heapq.heappop, heapq.heappush
         while remainder:
-            lead_r = -heapq.heappop(heap)
-            if lead_r not in remainder:
+            lead_r = -pop(heap)
+            coeff = remainder.pop(lead_r, None)
+            if coeff is None:
                 continue
-            q_key = lead_r - lead_b
-            if (q_key < least or (q_key - low + signs) & signs != signs
-                    or (high - q_key + signs) & signs != signs):
+            if (lead_r < least or (lead_r - low + signs) & signs != signs
+                    or (high - lead_r + signs) & signs != signs):
                 raise NotDivisible(f"{self} is not divisible by {other}")
-            q_coeff, rem = divmod(remainder[lead_r], lead_b_coeff)
+            q_coeff, rem = divmod(coeff, lead_b_coeff)
             if rem != 0:
                 raise NotDivisible(f"{self} is not divisible by {other}")
             # the remainder's lead falls strictly: each quotient term is new
-            quotient[q_key] = q_coeff
-            for b_key, b_coeff in b.items():
-                key = q_key + b_key
-                if key not in remainder:
-                    heapq.heappush(heap, -key)
-                c = remainder.get(key, 0) - q_coeff * b_coeff
-                if c:
-                    remainder[key] = c
+            quotient[lead_r - lead_b] = q_coeff
+            for offset, neg_coeff in tail:
+                key = lead_r + offset
+                c = remainder.get(key)
+                if c is None:
+                    push(heap, -key)
+                    remainder[key] = q_coeff * neg_coeff
                 else:
-                    del remainder[key]
+                    c += q_coeff * neg_coeff
+                    if c:
+                        remainder[key] = c
+                    else:
+                        del remainder[key]
         return LaurentPoly(quotient, bound)
 
     # -- substitution and content -------------------------------------------
@@ -456,11 +503,16 @@ class LaurentPoly:
 
     # -- canonical output ----------------------------------------------------
 
-    def _sorted_terms(self):
-        """(exponents, coeff) pairs in output order: descending lex order
-        of the exponent tuples, with the variables sorted by name."""
+    def _sorted_rows(self):
+        """The names of the variables, sorted, and the (exponent row,
+        coeff) pairs in output order: descending lex order of the rows."""
         names, rows = _rows(self.terms)
-        terms = sorted(zip(rows, self.terms.values()), reverse=True)
+        return names, sorted(zip(rows, self.terms.values()), reverse=True)
+
+    def _sorted_terms(self):
+        """(exponents, coeff) pairs in output order, exponents being a
+        {var: exp} dict sorted by variable name."""
+        names, terms = self._sorted_rows()
         return [({v: e for v, e in zip(names, row) if e}, coeff)
                 for row, coeff in terms]
 
@@ -470,10 +522,12 @@ class LaurentPoly:
             return self._text
         if self.is_zero():
             return "0"
+        names, terms = self._sorted_rows()
+        xs = [f"x[{v}]" for v in names]
         pieces = []
-        for i, (exps, coeff) in enumerate(self._sorted_terms()):
-            factors = " ".join(f"x[{v}]" if e == 1 else f"x[{v}]^{e}"
-                               for v, e in exps.items())
+        for i, (row, coeff) in enumerate(terms):
+            factors = " ".join(x if e == 1 else f"{x}^{e}"
+                               for x, e in zip(xs, row) if e)
             if factors:
                 body = f"{abs(coeff)} * {factors}" if abs(coeff) != 1 else factors
             else:

@@ -4,6 +4,8 @@ of cluster variables."""
 from __future__ import annotations
 
 import collections
+import functools
+import operator
 
 from .errors import QuiverError
 from .laurent import LaurentPoly
@@ -120,14 +122,12 @@ def mutate(seed, k, exchanges=None):
 
 def _exchange(x_k, inputs):
     """(prod of v^e over e > 0 + prod of v^-e over e < 0) / x_k for the
-    (v, e) pairs of inputs."""
-    plus = LaurentPoly.one()
-    minus = LaurentPoly.one()
+    (v, e) pairs of inputs; an empty product is 1."""
+    sides = ([], [])
     for value, e in inputs:
-        if e > 0:
-            plus = plus * value ** e
-        else:
-            minus = minus * value ** (-e)
+        sides[e < 0].append(value ** abs(e))
+    plus, minus = (functools.reduce(operator.mul, side) if side
+                   else LaurentPoly.one() for side in sides)
     # the Laurent phenomenon guarantees exact divisibility here; a
     # NotDivisible escaping this call is a correctness bug, not bad input
     return (plus + minus).exact_div(x_k)

@@ -1,13 +1,15 @@
 """Golden output of long polynomials, pinned by sha256: what `lpoly` (text
 and `--json`) and `character --json` print for a11's string from vertex 1
 to 11 and for two kronecker3 strings of length 20 and 40, and what
-`enumerate kronecker2 --depth 12` prints as text and as `--json`.
+`enumerate` prints as text and as `--json` for kronecker2 at depth 12,
+kronecker3 at depth 5 and doublearrow4 at depth 4.
 
 The other golden tests reach strings of length at most 3 and `enumerate
 --depth 3`, where a polynomial has few terms in few variables.  Here the
 polynomials have up to hundreds of terms in up to 11 variables, so the
 order of the terms and of the variables in each term is pinned where it
-is hard."""
+is hard; the cluster variables of kronecker2 have 2 variables, those of
+kronecker3 and doublearrow4 have 3 and 4."""
 
 import hashlib
 
@@ -55,6 +57,12 @@ CASES = {
     "kronecker2-enumerate12": (enumerate_calls("kronecker2", 12),
                                "026c62ba4aead0c6a5d5737a27d60a50"
                                "af0e71ac621b6fa1b1886653711c13c9"),
+    "kronecker3-enumerate5": (enumerate_calls("kronecker3", 5),
+                              "f9dac049a28c23d1a9d7239a4a72bd45"
+                              "bfcdaad3bc2ab974b9c4970060a50775"),
+    "doublearrow4-enumerate4": (enumerate_calls("doublearrow4", 4),
+                                "490b493e5a080d43874a43ca9bf4ac3b"
+                                "6771d6538611d782d01656e538b1ae9c"),
 }
 
 

@@ -187,7 +187,8 @@ def test_power_squares_only_while_bits_remain(monkeypatch):
     powers = [LaurentPoly.one()]
     for _ in range(4):
         powers.append(powers[-1] * f)
-    for n, expected in [(1, 1), (2, 2), (3, 3), (4, 3)]:
+    # the power starts at the lowest set bit, not from a product by one()
+    for n, expected in [(1, 0), (2, 1), (3, 2), (4, 2)]:
         calls.clear()
         assert f ** n == powers[n]
         assert len(calls) == expected, n
@@ -252,6 +253,76 @@ def test_exact_div_failures():
     with pytest.raises(ZeroDivisionError):
         x.exact_div(LaurentPoly.zero())
     assert LaurentPoly.zero().exact_div(x) == LaurentPoly.zero()
+
+
+def test_exact_div_refuses_a_divisor_that_is_not_a_polynomial():
+    x = LaurentPoly.var("x")
+    for divisor in (2.0, "x", None, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            x.exact_div(divisor)
+    with pytest.raises(TypeError):
+        x * 2.0
+    with pytest.raises(ZeroDivisionError):
+        x.exact_div(0)
+    assert (2 * x).exact_div(2) == x
+
+
+def _largest_exponent(f):
+    return max((abs(e) for exps, _coeff in f.monomials()
+                for e in exps.values()), default=0)
+
+
+def test_exact_div_by_one_term():
+    x, y = LaurentPoly.var("x"), LaurentPoly.var("y")
+    with pytest.raises(NotDivisible):
+        (2 * x + 1).exact_div(2)
+    with pytest.raises(NotDivisible):
+        (2 * x + 3 * y).exact_div(-2 * y)
+    assert (2 * x + 4 * y).exact_div(2 * y) == x * y ** -1 + 2
+    assert (6 * x ** 3 - 4).exact_div(-2 * x ** -1) == -3 * x ** 4 + 2 * x
+    # the quotient's bound is its largest exponent, not the operands' sum
+    for dividend, divisor in ((x ** 5 * y ** -2 + y ** 3, x ** 4 * y),
+                              (x ** 3 - y ** 3, x ** 3 * y ** -3),
+                              (7 * x, 7 * x), (x ** -2 + 1, y ** 9)):
+        quotient = dividend.exact_div(divisor)
+        assert quotient * divisor == dividend
+        assert quotient.bound == _largest_exponent(quotient), quotient
+
+
+def test_exact_div_by_one_term_refuses_an_exponent_past_the_limit():
+    x = LaurentPoly.var("x")
+    top = LaurentPoly.var("x", EXPONENT_LIMIT)
+    bottom = LaurentPoly.var("x", -EXPONENT_LIMIT)
+    with pytest.raises(ExponentOverflow):
+        top.exact_div(x ** -1)
+    with pytest.raises(ExponentOverflow):
+        bottom.exact_div(x)
+    # the exponents are refused before the coefficients are divided
+    with pytest.raises(ExponentOverflow):
+        (top + 1).exact_div(2 * x ** -1)
+    # up to the limit the quotient is built, and its bound is exact
+    below = LaurentPoly.var("x", EXPONENT_LIMIT - 1)
+    assert below.exact_div(x ** -1) == top
+    assert (top + x).exact_div(x) == below + 1
+    assert (top + x).exact_div(x).bound == EXPONENT_LIMIT - 1
+    assert bottom.exact_div(x ** -1).bound == EXPONENT_LIMIT - 1
+
+
+def test_exact_div_by_a_monomial_randomised():
+    # over 12 variables, so the keys span 12 fields
+    rng = random.Random(2026)
+    for _ in range(60):
+        f = random_poly(rng, nvars=12, nterms=6, span=4)
+        m = LaurentPoly.monomial(
+            rng.choice([-3, -1, 1, 2, 5]),
+            {f"x{i}": rng.randrange(-4, 5) for i in range(12)
+             if rng.random() < 0.5})
+        quotient = (f * m).exact_div(m)
+        assert quotient == f
+        assert quotient.bound == _largest_exponent(f)
+        if f and m.as_unit() is None:
+            with pytest.raises(NotDivisible):
+                (f * m + 1).exact_div(m)
 
 
 def test_exact_div_laurent_shift():

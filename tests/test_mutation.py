@@ -52,6 +52,17 @@ def test_exchange_with_frozen_coefficients():
     assert mutated.cluster["1"] == cluster_character(q, Walk.parse(q, "e(1)"))
 
 
+def test_exchange_at_a_vertex_without_arrows_is_two_over_x():
+    # both products of the exchange are empty, so each is 1
+    from stringchar import BoundIceQuiver
+    seed = seed_from_ice_quiver(BoundIceQuiver(["1", "2"], []))
+    assert mutate(seed, "1").cluster["1"] == 2 * var("1", -1)
+    # one empty side: 1 + x_2^2 over x_1
+    q = BoundIceQuiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
+    mutated = mutate(seed_from_ice_quiver(q), "1")
+    assert mutated.cluster["1"] == (var("2", 2) + 1) * var("1", -1)
+
+
 def test_mutation_is_an_involution():
     for name in ("a2", "a3", "a2ice", "kronecker2"):
         seed = seed_from_ice_quiver(load(name))
