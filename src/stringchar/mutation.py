@@ -20,9 +20,33 @@ class Seed:
     def __init__(self, vertices, unfrozen, b, cluster):
         self.vertices = tuple(vertices)
         self.unfrozen = tuple(unfrozen)
-        self.b = {(i, j): b[i, j] for i in self.vertices
-                  for j in self.unfrozen}
+        for j in self.unfrozen:
+            if j not in self.vertices:
+                raise QuiverError(f"unfrozen vertex {j!r} is not a vertex")
+        try:
+            self.b = {(i, j): b[i, j] for i in self.vertices
+                      for j in self.unfrozen}
+        except KeyError as exc:
+            raise QuiverError(
+                f"the exchange matrix has no entry {exc.args[0]!r}") from None
         self.cluster = dict(cluster)
+        for j in self.cluster:
+            if j not in self.unfrozen:
+                raise QuiverError(
+                    f"cluster variable for {j!r}, which is not an unfrozen "
+                    "vertex")
+        # Seed.key and the search's record of crossed edges name each
+        # unfrozen vertex by its cluster variable
+        carrier = {}
+        for j in self.unfrozen:
+            if j not in self.cluster:
+                raise QuiverError(
+                    f"the cluster has no variable for unfrozen vertex {j!r}")
+            other = carrier.setdefault(self.cluster[j], j)
+            if other != j:
+                raise QuiverError(
+                    f"unfrozen vertices {other!r} and {j!r} carry the same "
+                    "cluster variable")
         for j in self.unfrozen:
             for i in self.unfrozen:
                 if self.b[i, j] != -self.b[j, i]:
@@ -38,8 +62,8 @@ class Seed:
         keeps the unfrozen part skew-symmetric, so it is not checked.
 
         `mutate` builds seeds here rather than through `__init__`, whose
-        copy of b and skew-symmetry check would be repeated for each of the
-        127 seeds (12 x 4 entries) of enumerating a4dec to depth 10."""
+        copy of b and checks would be repeated for each of the 84 mutations
+        (12 x 4 entries each) of enumerating a4dec to depth 10."""
         seed = object.__new__(type(self))
         seed.vertices, seed.unfrozen, seed.frozen_variables = \
             self.vertices, self.unfrozen, self.frozen_variables
@@ -135,46 +159,62 @@ def _exchange(x_k, inputs):
 
 def enumerate_cluster_variables(seed, max_depth):
     """All cluster variables reachable from the seed by at most max_depth
-    mutations, sorted by canonical text.
-
-    The breadth-first search visits each seed once up to relabelling
-    (`Seed.key`).  That prunes nothing it must reach: mutation commutes
-    with a permutation of the unfrozen labels, so the seeds a relabelled
-    copy reaches within d more mutations are relabelled copies of those the
-    first visit reaches, with the same cluster variables.  Each distinct
-    exchange is computed once per call."""
-    return sorted(_reachable_variables(seed, max_depth),
+    mutations, sorted by canonical text: the set `_reachable_variables`
+    yields."""
+    return sorted(set(_reachable_variables(seed, max_depth)),
                   key=lambda f: f.text())
 
 
 def _reachable_variables(seed, max_depth):
-    """The set of cluster variables within max_depth mutations of seed."""
-    seen_seeds = {seed.key()}
-    variables = {seed.cluster[j] for j in seed.unfrozen}
+    """Yield the cluster variables within max_depth mutations of seed as a
+    breadth-first search over seeds reaches them: the initial cluster, then
+    the new variable of each seed not seen before.  A variable is yielded
+    again for each seed it is new in.
+
+    The search visits each seed once up to relabelling (`Seed.key`).  That
+    prunes nothing it must reach: mutation commutes with a permutation of
+    the unfrozen labels, so the seeds a relabelled copy reaches within d
+    more mutations are relabelled copies of those the first visit reaches,
+    with the same cluster variables.
+
+    It also crosses each edge of the exchange graph once.  `crossed` maps
+    the key of each seen seed t to the cluster values at which mutating t
+    is known to lead to a seen seed.  If mutate(s, k) is t relabelled by
+    sigma, then mutating t at sigma(k), the vertex that carries
+    mutate(s, k).cluster[k], gives s relabelled by sigma, because mutation
+    is an involution and commutes with relabelling; so that value joins t's
+    record, and t is never mutated there.  The record holds values, not
+    labels, because sigma is not known; a seed's cluster variables are
+    distinct, so a value names one vertex.  A new seed's record starts with
+    the value of the edge it came by.  Each distinct exchange is computed
+    once per call."""
+    yield from seed.cluster.values()
+    record = set()
+    crossed = {seed.key(): record}
     exchanges = {}
-    # each frontier seed with the vertex it was mutated at; mutation is an
-    # involution, so mutating there again gives back its parent
-    frontier = [(seed, None)]
+    frontier = [(seed, record)]
     for _ in range(max_depth):
         next_frontier = []
-        for current, came_from in frontier:
+        for current, skip in frontier:
             for k in current.unfrozen:
-                if k == came_from:
+                if current.cluster[k] in skip:
                     continue
                 mutated = mutate(current, k, exchanges)
+                new = mutated.cluster[k]
                 key = mutated.key()
-                if key in seen_seeds:
-                    continue
-                seen_seeds.add(key)
-                variables.update(mutated.cluster[j] for j in mutated.unfrozen)
-                next_frontier.append((mutated, k))
+                record = crossed.get(key)
+                if record is None:
+                    record = crossed[key] = set()
+                    next_frontier.append((mutated, record))
+                    yield new
+                record.add(new)
         frontier = next_frontier
         if not frontier:
             break
-    return variables
 
 
 def match_character(seed, f, max_depth):
     """True iff the Laurent polynomial f occurs among the cluster variables
-    enumerated up to max_depth."""
+    enumerated up to max_depth; the search stops at the first seed whose
+    cluster holds f."""
     return f in _reachable_variables(seed, max_depth)

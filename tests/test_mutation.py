@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from stringchar import LaurentPoly, QuiverError, Seed, Walk, \
-    cluster_character, enumerate_cluster_variables, match_character, mutate, \
-    seed_from_ice_quiver
+from stringchar import LaurentPoly, QuiverError, Seed, StringCharError, \
+    Walk, cluster_character, enumerate_cluster_variables, enumerate_strings, \
+    match_character, mutate, seed_from_ice_quiver
 
 from conftest import FIXTURES, load
 
@@ -33,6 +33,48 @@ def test_seed_rejects_two_cycles():
         Seed(["1", "2"], ["1", "2"], {("1", "2"): 1, ("2", "1"): 1,
                                       ("1", "1"): 0, ("2", "2"): 0},
              {"1": var("1"), "2": var("2")})
+
+
+def _a2ice_seed_input():
+    """The vertices, unfrozen vertices, exchange matrix and cluster of
+    a2ice's initial seed, as Seed takes them."""
+    seed = seed_from_ice_quiver(load("a2ice"))
+    return (list(seed.vertices), list(seed.unfrozen), dict(seed.b),
+            dict(seed.cluster))
+
+
+def test_seed_refuses_a_missing_exchange_matrix_entry():
+    vertices, unfrozen, b, cluster = _a2ice_seed_input()
+    del b["3", "2"]
+    with pytest.raises(QuiverError, match=r"no entry \('3', '2'\)"):
+        Seed(vertices, unfrozen, b, cluster)
+
+
+def test_seed_refuses_an_unfrozen_vertex_that_is_not_a_vertex():
+    vertices, unfrozen, b, cluster = _a2ice_seed_input()
+    with pytest.raises(QuiverError, match="unfrozen vertex '9'"):
+        Seed(vertices, unfrozen + ["9"], b, cluster)
+
+
+def test_seed_refuses_a_cluster_without_an_unfrozen_vertex():
+    vertices, unfrozen, b, cluster = _a2ice_seed_input()
+    del cluster["2"]
+    with pytest.raises(QuiverError, match="unfrozen vertex '2'"):
+        Seed(vertices, unfrozen, b, cluster)
+
+
+def test_seed_refuses_a_cluster_variable_for_a_frozen_vertex():
+    vertices, unfrozen, b, cluster = _a2ice_seed_input()
+    cluster["3"] = var("3")
+    with pytest.raises(QuiverError, match="variable for '3'"):
+        Seed(vertices, unfrozen, b, cluster)
+
+
+def test_seed_refuses_two_equal_cluster_variables():
+    vertices, unfrozen, b, cluster = _a2ice_seed_input()
+    cluster["2"] = var("1")
+    with pytest.raises(QuiverError, match="'1' and '2' carry the same"):
+        Seed(vertices, unfrozen, b, cluster)
 
 
 def test_single_exchange():
@@ -85,6 +127,37 @@ def test_enumeration_is_positive_and_sorted():
     assert all(f.is_nonnegative() for f in variables)
     texts = [f.text() for f in variables]
     assert texts == sorted(texts)
+
+
+def test_match_is_membership_in_the_enumeration():
+    checked = 0
+    for name in ("a4dec", "dcyclic4"):
+        q = load(name)
+        seed = seed_from_ice_quiver(q)
+        enumerated = [enumerate_cluster_variables(seed, depth)
+                      for depth in range(4)]
+        for c in enumerate_strings(q, 2):
+            try:
+                f = cluster_character(q, c)
+            except StringCharError:
+                continue
+            for depth in range(4):
+                assert match_character(seed, f, depth) == \
+                    (f in enumerated[depth]), (name, str(c), depth)
+                checked += 1
+    assert checked >= 100
+
+
+def test_match_stops_at_the_first_seed_that_holds_the_character(
+        monkeypatch):
+    seed = seed_from_ice_quiver(load("a4dec"))
+    f = mutate(seed, seed.unfrozen[0]).cluster[seed.unfrozen[0]]
+    calls = _counting_mutate(monkeypatch)
+    assert match_character(seed, f, 10)
+    # the search's first mutation reaches f; the full search makes 84
+    assert len(calls) == 1
+    enumerate_cluster_variables(seed, 10)
+    assert len(calls) == 1 + 84
 
 
 def test_match_character():
@@ -191,14 +264,13 @@ def test_enumeration_computes_each_exchange_once(monkeypatch):
     variables = enumerate_cluster_variables(
         seed_from_ice_quiver(load("a4dec")), 10)
     assert len(variables) == 14
-    # 127 mutations, but only 70 distinct exchanges
-    assert len(calls) <= 70
+    # 84 mutations, but only 40 distinct exchanges
+    assert len(calls) == 40
 
 
-def test_enumeration_skips_the_vertex_each_seed_came_from(monkeypatch):
-    seed = seed_from_ice_quiver(load("a4dec"))
-    variables, plain_calls, mutated_non_root = _enumerate_by_mutation(
-        seed, 10, {})
+def _counting_mutate(monkeypatch):
+    """Count the search's calls of mutate: the list of the vertices it
+    mutates at, in order."""
     calls = []
 
     def counting_mutate(*args):
@@ -206,14 +278,79 @@ def test_enumeration_skips_the_vertex_each_seed_came_from(monkeypatch):
         return mutate(*args)
 
     monkeypatch.setattr("stringchar.mutation.mutate", counting_mutate)
+    return calls
+
+
+def test_enumeration_skips_the_vertex_each_seed_came_from(monkeypatch):
+    seed = seed_from_ice_quiver(load("a4dec"))
+    variables, plain_calls, mutated_non_root = _enumerate_by_mutation(
+        seed, 10, {})
+    calls = _counting_mutate(monkeypatch)
     assert enumerate_cluster_variables(seed, 10) == variables
     # mutation is an involution: mutating a seed at the vertex it came from
     # gives back its parent, so each mutated non-root seed saves one call
     assert mutated_non_root > 0
     assert plain_calls - len(calls) >= mutated_non_root
-    # each of the 42 seeds of type A4 is mutated once up to relabelling,
-    # where the labelled search makes 3,260 mutations
-    assert len(calls) <= 130
+    # each of the 84 edges between the 42 seeds of type A4 is crossed once
+    # up to relabelling, where the labelled search makes 3,260 mutations
+    assert len(calls) == 84
+
+
+def _exchange_graph_edge_counts(seed, max_depth):
+    """For d = 0..max_depth, the number of edges {key(s), key(mutate(s, k))}
+    of the exchange graph up to relabelling over the seeds s within d - 1
+    mutations of seed: a plain breadth-first search over keys that mutates
+    every seed it reaches at every unfrozen vertex."""
+    seen = {seed.key()}
+    edges = set()
+    counts = [0]
+    frontier = [seed]
+    exchanges = {}
+    for _ in range(max_depth):
+        next_frontier = []
+        for current in frontier:
+            for k in current.unfrozen:
+                mutated = mutate(current, k, exchanges)
+                key = mutated.key()
+                edges.add(frozenset((current.key(), key)))
+                if key not in seen:
+                    seen.add(key)
+                    next_frontier.append(mutated)
+        frontier = next_frontier
+        counts.append(len(edges))
+    return counts
+
+
+def test_enumeration_crosses_each_edge_of_the_exchange_graph_once(
+        monkeypatch):
+    cases = []
+    for path in sorted(FIXTURES.glob("*.quiver")):
+        try:
+            seed = seed_from_ice_quiver(load(path.stem))
+        except QuiverError:
+            continue
+        counts = _exchange_graph_edge_counts(seed, 3)
+        cases += [(path.stem, seed, depth, edges)
+                  for depth, edges in enumerate(counts)]
+    assert len(cases) >= 40
+    calls = _counting_mutate(monkeypatch)
+    for name, seed, depth, edges in cases:
+        calls.clear()
+        enumerate_cluster_variables(seed, depth)
+        assert len(calls) == edges, (name, depth)
+
+
+@pytest.mark.parametrize("name, variables, seeds", [
+    ("a3dec", 9, 14), ("a4dec", 14, 42), ("dcyclic4", 16, 50),
+    ("dcyclic5", 25, 182)])
+def test_a_finite_exchange_graph_is_searched_with_one_mutation_per_edge(
+        monkeypatch, name, variables, seeds):
+    # the exchange graph of a finite type of rank n is n-regular, so it has
+    # n * seeds / 2 edges; the search runs out of seeds before depth 10
+    seed = seed_from_ice_quiver(load(name))
+    calls = _counting_mutate(monkeypatch)
+    assert len(enumerate_cluster_variables(seed, 10)) == variables
+    assert len(calls) == len(seed.unfrozen) * seeds // 2
 
 
 def test_enumeration_up_to_relabelling_matches_the_labelled_search():
