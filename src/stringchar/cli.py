@@ -143,7 +143,7 @@ def _run(args):
         seed = mutation.seed_from_ice_quiver(q)
         variables = mutation.enumerate_cluster_variables(seed, depth)
         if args.json:
-            print(json.dumps([f.to_json_obj() for f in variables]))
+            print("[" + ", ".join(f.to_json() for f in variables) + "]")
         else:
             for f in variables:
                 print(f.text())

@@ -16,12 +16,14 @@ one-term divisor needs neither: the quotient is the dividend with its
 keys shifted and its coefficients divided, as in a product by one term.
 
 Names appear only at the edges.  `_columns` decodes all the keys of a
-polynomial in one pass, into one column of exponents per field, and
-`_rows` turns them into one row of exponents per key, the variables
-sorted by name.  `monomials`, `text`, JSON, `as_unit` and `substitute`
-read those rows, so no output depends on the intern order; `text`
-formats each term straight from its row.  `coefficient` packs the
-monomial it is asked for instead.
+polynomial in one pass, into one column of exponents per field.  `text`
+and JSON read the columns of the variables that occur, sorted by name:
+each distinct (variable, exponent) is formatted once, for every term
+that has it, and the terms are sorted once, by their exponent rows.
+`_rows` turns the columns into one row of exponents per key, which
+`monomials`, `as_unit` and `substitute` read.  So no output depends on
+the intern order.  `coefficient` packs the monomial it is asked for
+instead.
 
 Every exponent lies within +-EXPONENT_LIMIT (2**29 - 1).  Each polynomial
 carries a bound on the absolute value of its exponents, and an operation
@@ -119,12 +121,10 @@ def _rows(keys):
     """The names of the variables that occur in keys, sorted, and for each
     key the tuple of its exponents of them in that order."""
     columns = _columns(keys, _width(keys))
-    used = sorted((_NAMES[i], column)
-                  for i, column in enumerate(columns) if any(column))
-    if not used:
-        return (), [()] * len(keys)
-    names, columns = zip(*used)
-    return names, list(zip(*columns))
+    used = sorted(pair for pair in zip(_NAMES, columns) if any(pair[1]))
+    names, columns = zip(*used) if used else ((), ())
+    # with no variable, each key (a constant's) has the empty row
+    return names, list(zip(*columns)) or [()] * len(keys)
 
 
 def _unpack(key):
@@ -503,61 +503,72 @@ class LaurentPoly:
 
     # -- canonical output ----------------------------------------------------
 
-    def _sorted_rows(self):
-        """The names of the variables, sorted, and the (exponent row,
-        coeff) pairs in output order: descending lex order of the rows."""
-        names, rows = _rows(self.terms)
-        return names, sorted(zip(rows, self.terms.values()), reverse=True)
-
-    def _sorted_terms(self):
-        """(exponents, coeff) pairs in output order, exponents being a
-        {var: exp} dict sorted by variable name."""
-        names, terms = self._sorted_rows()
-        return [({v: e for v, e in zip(names, row) if e}, coeff)
-                for row, coeff in terms]
+    def _output_terms(self, head, fragment):
+        """(coeff, factors) for every term in output order: descending lex
+        order of the exponent rows over the variables that occur, sorted
+        by name.  factors holds fragment(head(name), e) for each nonzero
+        exponent e of the term, in name order.  head is called once per
+        variable and fragment once per distinct (variable, exponent)."""
+        cols = _columns(self.terms, _width(self.terms))
+        used = sorted((n, head(n), c) for n, c in zip(_NAMES, cols) if any(c))
+        terms = [(coeff, []) for coeff in self.terms.values()]
+        for _name, label, column in used:
+            formatted = {}    # exponent -> fragment, which is never empty
+            for (_coeff, factors), e in zip(terms, column):
+                if e:
+                    factors.append(formatted.get(e) or
+                                   formatted.setdefault(e, fragment(label, e)))
+        # stable sorts by each column, the last name first, sort the rows
+        order = list(range(len(terms)))
+        for _name, _label, column in reversed(used):
+            order.sort(key=column.__getitem__, reverse=True)
+        return [terms[i] for i in order]
 
     def text(self):
         """Canonical text form, e.g. ``2 * x[1]^2 x[2]^-1 + 1``."""
-        if self._text is not None:
-            return self._text
-        if self.is_zero():
-            return "0"
-        names, terms = self._sorted_rows()
-        xs = [f"x[{v}]" for v in names]
-        pieces = []
-        for i, (row, coeff) in enumerate(terms):
-            factors = " ".join(x if e == 1 else f"{x}^{e}"
-                               for x, e in zip(xs, row) if e)
-            if factors:
-                body = f"{abs(coeff)} * {factors}" if abs(coeff) != 1 else factors
-            else:
-                body = str(abs(coeff))
-            if i == 0:
-                pieces.append(body if coeff > 0 else f"-{body}")
-            else:
+        if self._text is None:
+            pieces = []
+            for coeff, factors in self._output_terms("x[{}]".format, _power):
+                size, body = abs(coeff), " ".join(factors)
+                if size != 1 or not body:
+                    body = f"{size} * {body}" if body else str(size)
                 pieces.append(("+ " if coeff > 0 else "- ") + body)
-        self._text = " ".join(pieces)
+            # the first term shows only a minus sign, joined to its body,
+            # and the zero polynomial reads "0"
+            text = " ".join(pieces) or "+ 0"
+            self._text = text[2:] if text[0] == "+" else "-" + text[2:]
         return self._text
 
-    def __str__(self):
-        return self.text()
+    __str__ = text
 
     def __repr__(self):
         return f"LaurentPoly({self.text()!r})"
 
     def to_json_obj(self):
-        return [{"coeff": coeff, "exponents": exps}
-                for exps, coeff in self._sorted_terms()]
+        return [{"coeff": coeff, "exponents": dict(factors)} for coeff, factors
+                in self._output_terms(str, lambda name, e: (name, e))]
 
     def to_json(self):
-        return json.dumps(self.to_json_obj())
+        """``json.dumps(self.to_json_obj())``, each name escaped once."""
+        return "[%s]" % ", ".join(
+            '{"coeff": %d, "exponents": {%s}}' % (c, ", ".join(f))
+            for c, f in self._output_terms(json.dumps, "{}: {}".format))
 
     @classmethod
     def from_json_obj(cls, obj):
-        result = cls.zero()
+        """The polynomial of a `to_json_obj` list.  Terms with the same
+        exponents sum, and a sum of 0 drops out."""
+        terms, bound = {}, 0
         for term in obj:
-            result = result + cls.monomial(term["coeff"], term["exponents"])
-        return result
+            coeff = operator.index(term["coeff"])
+            key, key_bound = _pack(term["exponents"])
+            terms[key] = terms.get(key, 0) + coeff
+            bound = max(bound, key_bound if coeff else 0)
+        return cls({k: c for k, c in terms.items() if c}, bound)
+
+
+def _power(x, e):
+    return x if e == 1 else f"{x}^{e}"
 
 
 class Mat2:

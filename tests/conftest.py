@@ -38,6 +38,14 @@ def load(name):
     return BoundIceQuiver.from_file(FIXTURES / f"{name}.quiver")
 
 
+def kronecker_string(length):
+    """A kronecker3 string from vertex 1 that cycles through the three
+    arrows, forward and inverse in turn, so it never backtracks."""
+    arrows = ("al1", "al2", "al3")
+    return " ".join(arrows[i % 3] + ("" if i % 2 == 0 else "^-1")
+                    for i in range(length))
+
+
 def caret_quiver():
     """Vertices u, p^q and p, with arrows r: u -> p^q and q^r: u -> p.
     Blow-up pendants named {target}^{arrow};{k} collided here."""

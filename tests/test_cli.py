@@ -4,8 +4,11 @@ import argparse
 import json
 
 import stringchar.sweep
-from stringchar import enumerate_strings
+from stringchar import BoundIceQuiver, LaurentPoly, Walk, enumerate_strings
+from stringchar.character import cluster_character
 from stringchar.cli import main
+from stringchar.mutation import enumerate_cluster_variables, \
+    seed_from_ice_quiver
 
 from conftest import FIXTURES, load
 
@@ -105,6 +108,39 @@ def test_enumerate_json(capsys):
                        "--json")
     assert code == 0
     assert len(json.loads(out)) == 5
+
+
+def test_vertex_ids_that_json_escapes(capsys, tmp_path):
+    # a quote, a backslash and a letter beyond ASCII: --json escapes them
+    # as json.dumps does, and the text prints the ids as they are
+    path = tmp_path / "escapes.quiver"
+    path.write_text('vertex a"b\nvertex b\\c\nvertex \u00e9\n'
+                    'arrow p a"b -> b\\c\narrow q b\\c -> \u00e9\n',
+                    encoding="utf-8")
+    q = BoundIceQuiver.from_file(path)
+    code, out, err = run(capsys, "character", str(path), "--string", "p q",
+                         "--json")
+    assert (code, err) == (0, "")
+    assert out == (
+        '[{"coeff": 1, "exponents": {"\\u00e9": -1}}, '
+        '{"coeff": 1, "exponents": {"b\\\\c": -1, "\\u00e9": -1}}, '
+        '{"coeff": 1, "exponents": {"a\\"b": -1}}, '
+        '{"coeff": 1, "exponents": {"a\\"b": -1, "b\\\\c": -1}}]\n')
+    character = cluster_character(q, Walk.parse(q, "p q"))
+    assert LaurentPoly.from_json_obj(json.loads(out)) == character
+    code, out, _ = run(capsys, "character", str(path), "--string", "p q")
+    assert (code, out) == (0, character.text() + "\n")
+    assert 'x[a"b]^-1 x[b\\c]^-1' in out and "x[\u00e9]^-1" in out
+    variables = enumerate_cluster_variables(seed_from_ice_quiver(q), 3)
+    code, out, _ = run(capsys, "enumerate", str(path), "--depth", "3",
+                       "--json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out)) + "\n"
+    assert [LaurentPoly.from_json_obj(obj) for obj in json.loads(out)] == \
+        variables
+    code, out, _ = run(capsys, "enumerate", str(path), "--depth", "3")
+    assert (code, out.splitlines()) == (0, [f.text() for f in variables])
+    assert 'x[a"b]' in out.splitlines()
 
 
 def test_match(capsys):

@@ -17,18 +17,10 @@ import pytest
 
 from stringchar.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, kronecker_string
 
 A11_STRING = ("alpha beta gamma^-1 delta epsilon^-1 zeta^-1 eta^-1 theta "
               "iota kappa^-1")
-
-
-def kronecker_string(length):
-    """A kronecker3 string from vertex 1 that cycles through the three
-    arrows, forward and inverse in turn, so it never backtracks."""
-    arrows = ("al1", "al2", "al3")
-    return " ".join(arrows[i % 3] + ("" if i % 2 == 0 else "^-1")
-                    for i in range(length))
 
 
 def string_calls(name, string):

@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 
 from stringchar import ExponentOverflow, LaurentPoly, Mat2, NotDivisible, \
-    NotInvertible, StringCharError
+    NotInvertible, StringCharError, Walk
+from stringchar.character import cluster_character
 from stringchar.laurent import _FIELD_BITS, _HALF, _NAMES, EXPONENT_LIMIT, \
     _columns, _from_fields
 
-from conftest import run_in_fresh_interpreter
+from conftest import kronecker_string, load, run_in_fresh_interpreter
 
 
 def random_poly(rng, nvars=3, nterms=4, span=3):
@@ -478,6 +479,36 @@ def test_output_order_of_string_variables():
         '{"coeff": 1, "exponents": {"2": -2, "y10": 1}}]')
 
 
+def test_from_json_obj_sums_terms_and_refuses_what_monomial_refuses():
+    x, y = LaurentPoly.var("x"), LaurentPoly.var("y")
+    f = LaurentPoly.from_json_obj([
+        {"coeff": 2, "exponents": {"x": 1}},
+        {"coeff": 3, "exponents": {"y": -1}},
+        {"coeff": -2, "exponents": {"x": 1, "y": 0}},
+        {"coeff": 0, "exponents": {"y": EXPONENT_LIMIT}},
+        {"coeff": 4, "exponents": {}},
+        {"coeff": 1, "exponents": {"y": -1}},
+        {"coeff": 2, "exponents": {"x": 1}}])
+    assert f.terms == (2 * x + 4 * y ** -1 + 4).terms
+    # a term of coefficient 0 adds nothing to the exponent bound
+    assert f * LaurentPoly.var("x", EXPONENT_LIMIT - 1) == \
+        2 * LaurentPoly.var("x", EXPONENT_LIMIT) \
+        + 4 * LaurentPoly.var("x", EXPONENT_LIMIT - 1) * (y ** -1 + 1)
+    assert LaurentPoly.from_json_obj([]) == 0
+    assert LaurentPoly.from_json_obj(
+        [{"coeff": 5, "exponents": {"x": 2}},
+         {"coeff": -5, "exponents": {"x": 2}}]).is_zero()
+    for coeff in (1, 0):
+        with pytest.raises(TypeError, match="Laurent variable 1 is not"):
+            LaurentPoly.from_json_obj([{"coeff": coeff, "exponents": {1: 1}}])
+        with pytest.raises(TypeError):
+            LaurentPoly.from_json_obj([{"coeff": coeff,
+                                        "exponents": {"x": 1.0}}])
+        with pytest.raises(ExponentOverflow):
+            LaurentPoly.from_json_obj(
+                [{"coeff": coeff, "exponents": {"x": EXPONENT_LIMIT + 1}}])
+
+
 def test_json_round_trip_randomised():
     rng = random.Random(99)
     for _ in range(25):
@@ -525,13 +556,14 @@ def _decoder_cases():
 
     The late variables are interned after more than 64 other names and in
     the reverse of their name order, so an output that followed the
-    intern order would differ from one in name order."""
+    intern order would differ from one in name order.  Three names need
+    escaping in JSON: a quote, a backslash and a letter beyond ASCII."""
     for i in range(65):
         LaurentPoly.var(f"decode_pad{i}")
     late = [f"decode_v{j}" for j in range(6)]
     for v in reversed(late):
         LaurentPoly.var(v)
-    names = ["x0", "x1", "x2"] + late
+    names = ["x0", "x1", "x2", 'a"b', "b\\c", "\u00e9"] + late
     rng = random.Random(20261019)
     cases = [LaurentPoly.zero(), LaurentPoly.const(-7), LaurentPoly.one(),
              LaurentPoly.monomial(3, {"decode_v5": EXPONENT_LIMIT,
@@ -563,22 +595,46 @@ def test_columns_match_the_per_key_oracle():
                                      for i in range(n)]
 
 
+def _oracle_monomials(f, rows):
+    """(exponents, coeff) for every term of f in the order of its terms,
+    from the exponent rows of its keys indexed by field."""
+    return [(dict(sorted((_NAMES[i], e) for i, e in enumerate(row) if e)),
+             coeff) for row, coeff in zip(rows, f.terms.values())]
+
+
 def test_output_matches_the_per_key_oracle():
-    for f in _decoder_cases():
+    cases = _decoder_cases()
+    assert {'a"b', "b\\c", "\u00e9"} <= {v for f in cases for exps, _c in
+                                        f.monomials() for v in exps}
+    for f in cases:
         n = len(_NAMES)
         rows = [_fields(key, n) for key in f.terms]
         assert _columns(list(f.terms), n) == [[row[i] for row in rows]
                                               for i in range(n)]
-        monomials = [
-            (dict(sorted((_NAMES[i], e) for i, e in enumerate(row) if e)),
-             coeff) for row, coeff in zip(rows, f.terms.values())]
+        monomials = _oracle_monomials(f, rows)
         assert [(list(exps.items()), coeff)
                 for exps, coeff in f.monomials()] == \
             [(list(exps.items()), coeff) for exps, coeff in monomials]
         terms = _oracle_terms(monomials)
         assert f.text() == _oracle_text(terms)
-        assert f.to_json() == json.dumps(
-            [{"coeff": coeff, "exponents": exps} for exps, coeff in terms])
+        obj = [{"coeff": coeff, "exponents": exps} for exps, coeff in terms]
+        assert f.to_json() == json.dumps(obj)
+        # equal dicts may differ in order, so compare the items in order
+        assert [(t["coeff"], list(t["exponents"].items()))
+                for t in f.to_json_obj()] == \
+            [(t["coeff"], list(t["exponents"].items())) for t in obj]
+        assert LaurentPoly.from_json_obj(json.loads(f.to_json())) == f
+
+
+def test_long_character_round_trips_through_json_and_text():
+    # 862 terms in 2 variables: each (variable, exponent) is shared by
+    # many terms, and the order of the terms is long to pin
+    q = load("kronecker3")
+    f = cluster_character(q, Walk.parse(q, kronecker_string(80)))
+    assert len(f.terms) == 862
+    assert LaurentPoly.from_json_obj(json.loads(f.to_json())) == f
+    rows = [_fields(key, len(_NAMES)) for key in f.terms]
+    assert f.text() == _oracle_text(_oracle_terms(_oracle_monomials(f, rows)))
 
 
 def test_hash_consistency():
