@@ -30,12 +30,10 @@ _HOMES = {
         "Walk",
         "Winding",
         "blow_up",
-        "closure_and_border",
         "ensure_string",
         "enumerate_strings",
         "is_valid_string",
         "principal_extension",
-        "pushforward",
         "simple",
         "string_module",
         "validate_string",
@@ -44,7 +42,6 @@ _HOMES = {
         "check_identity",
         "coefficient_monomial",
         "frieze_entry",
-        "numerator_normalisation",
         "step_matrix",
         "vertex_matrix",
         "w_monomial",
@@ -56,14 +53,11 @@ _HOMES = {
     ),
     "homalg": (
         "PathBasis",
-        "direct_sum",
         "euler_forms",
         "ext1_dim",
-        "hereditary_euler",
         "hom_dim",
         "is_rigid",
         "normalisation_vector",
-        "projective",
         "simple_pairings",
     ),
     "character": (

@@ -16,12 +16,6 @@ def from_rows(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def set_block(m, sub, row, col):
-    """Copy the matrix sub into m with its top-left entry at (row, col)."""
-    for i, line in enumerate(sub, start=row):
-        m[i][col:col + len(line)] = line
-
-
 def mat_mul(a, b, cols=0):
     """a (r x k) times b (k x c); pass cols=c when b has zero rows."""
     r = len(a)

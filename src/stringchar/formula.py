@@ -1,6 +1,6 @@
 """Matrix-product formulas attached to walks: the Laurent polynomial L_c,
-its numerator content, the integer count l_c, frieze entries and the
-exchange-style identity checks.
+the integer count l_c, frieze entries and the exchange-style identity
+checks.
 
 The numerator N_c of L_c is the bracket [1,1] M [1;1] of a product M of
 2x2 step and vertex matrices.  `walk_numerator` evaluates it as a row
@@ -154,12 +154,6 @@ def walk_laurent(q, c):
     numerator = walk_numerator(q, c)
     exps = walk_denominator(q, c)
     return numerator * LaurentPoly.monomial(1, {v: -e for v, e in exps.items()})
-
-
-def numerator_normalisation(q, c):
-    """The exponent vector eta_c of the maximal monomial dividing N_c."""
-    eta, _rest = walk_numerator(q, c).monomial_content()
-    return eta
 
 
 def walk_count(c):

@@ -1,7 +1,8 @@
-"""Homological algebra over monomial bound quiver algebras: projectives via
-path bases, Hom by exact elimination, Euler forms from the relation complex,
-Ext^1 as Hom minus the Euler form, and rigidity; and, in one pass over a string with no linear algebra,
-the pairings of its module with the simples and its normalising vector."""
+"""Homological algebra over monomial bound quiver algebras: projective
+covers via path bases, Hom by exact elimination, Euler forms from the
+relation complex, Ext^1 as Hom minus the Euler form, and rigidity; and, in
+one pass over a string with no linear algebra, the pairings of its module
+with the simples and its normalising vector."""
 
 from __future__ import annotations
 
@@ -9,9 +10,8 @@ import weakref
 from fractions import Fraction
 
 from . import exactmat
-from .errors import PathLimitExceeded, QuiverError
-from .quiver import Representation, _walks, ensure_string, simple, \
-    support_closure
+from .errors import PathLimitExceeded
+from .quiver import Representation, _walks, ensure_string, support_closure
 
 _finite = weakref.WeakSet()
 
@@ -92,28 +92,6 @@ def path_basis(q):
         basis = PathBasis(q)
         _path_basis_cache[q] = basis
     return basis
-
-
-def projective(q, v):
-    """The indecomposable projective at v: the projective cover of the
-    simple at v."""
-    cover, _proj = projective_cover_data(q, simple(q, v))
-    return cover
-
-
-def direct_sum(q, *reps):
-    """Block-diagonal direct sum of representations of the same quiver."""
-    dims = {v: sum(r.dims[v] for r in reps) for v in q.vertices}
-    mats = {}
-    for name, arrow in q.arrows.items():
-        block = exactmat.zeros(dims[arrow.target], dims[arrow.source])
-        r0 = c0 = 0
-        for rep in reps:
-            exactmat.set_block(block, rep.mats[name], r0, c0)
-            r0 += rep.dims[arrow.target]
-            c0 += rep.dims[arrow.source]
-        mats[name] = block
-    return Representation(q, dims, mats, check_relations=False)
 
 
 def hom_dim(q, m, n):
@@ -266,18 +244,6 @@ def euler_forms(q, m, n):
     """(truncated form <m,n>, anti-symmetrised form <m,n>_a)."""
     forward = euler_form(q, m, n)
     return forward, forward - euler_form(q, n, m)
-
-
-def hereditary_euler(q, d, e):
-    """Euler form of an acyclic relation-free quiver on dimension vectors."""
-    if q.relations:
-        raise QuiverError("hereditary Euler form needs a relation-free quiver")
-    if not q.is_acyclic():
-        raise QuiverError("hereditary Euler form needs an acyclic quiver")
-    value = sum(d.get(v, 0) * e.get(v, 0) for v in q.vertices)
-    for arrow in q.arrows.values():
-        value -= d.get(arrow.source, 0) * e.get(arrow.target, 0)
-    return value
 
 
 def is_rigid(q, m):

@@ -458,20 +458,27 @@ class LaurentPoly:
                         del remainder[key]
         return LaurentPoly(quotient, bound)
 
-    # -- substitution and content -------------------------------------------
+    # -- substitution -------------------------------------------------------
 
     def substitute(self, assignment):
         """Apply the ring homomorphism sending each assigned variable to its
-        value; unassigned variables map to themselves.
+        value; unassigned variables map to themselves.  Each power of a value
+        is taken once, and the image of each term is summed into one dict,
+        as `from_json_obj` sums its terms.
 
         Raises NotInvertible if a variable with a negative exponent is sent
         to something that is not a unit.
         """
-        result = LaurentPoly.zero()
+        terms, bound = {}, 0
+        powers = {}    # (variable, exponent) -> the value to that power
         for exps, coeff in self.monomials():
-            term = LaurentPoly.const(coeff)
+            term = LaurentPoly.monomial(coeff, {v: e for v, e in exps.items()
+                                                if v not in assignment})
             for v, e in exps.items():
-                if v in assignment:
+                if v not in assignment:
+                    continue
+                power = powers.get((v, e))
+                if power is None:
                     value = assignment[v]
                     if not isinstance(value, LaurentPoly):
                         value = LaurentPoly.const(value)
@@ -479,27 +486,12 @@ class LaurentPoly:
                         raise NotInvertible(
                             f"value {value} for variable {v!r} is not a unit "
                             f"but occurs with exponent {e}")
-                    term = term * value ** e
-                else:
-                    term = term * LaurentPoly.var(v, e)
-            result = result + term
-        return result
-
-    def monomial_content(self):
-        """Write self = x^eta * P with P not divisible by any variable.
-
-        Requires a nonzero honest polynomial (no negative exponents).
-        Returns (eta as a dict, P).
-        """
-        if self.is_zero():
-            raise ValueError("monomial content of the zero polynomial")
-        lows, _highs = _extent(self.terms, _width(self.terms))
-        if any(e < 0 for e in lows):
-            raise ValueError("monomial content requires nonnegative exponents")
-        eta = _from_fields(lows)
-        rest = LaurentPoly({k - eta: c for k, c in self.terms.items()},
-                           self.bound)
-        return _unpack(eta), rest
+                    power = powers[v, e] = value ** e
+                term = term * power
+            for key, c in term.terms.items():
+                terms[key] = terms.get(key, 0) + c
+            bound = max(bound, term.bound)
+        return LaurentPoly({k: c for k, c in terms.items() if c}, bound)
 
     # -- canonical output ----------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Quivers with frozen vertices and monomial relations, walks, strings,
-string modules, principal extensions, blow-ups and windings."""
+string modules, principal extensions, the closure of a support, blow-ups
+along a string and the windings they come with, and string enumeration."""
 
 from __future__ import annotations
 
@@ -115,11 +116,6 @@ class BoundIceQuiver:
     @property
     def unfrozen_vertices(self):
         return tuple(v for v in self.vertices if v not in self.frozen)
-
-    def is_blown_up(self):
-        """True iff every frozen vertex meets at most one arrow."""
-        return all(len(self._from[v]) + len(self._to[v]) <= 1
-                   for v in self.frozen)
 
     def has_loops_or_two_cycles(self):
         pairs = set()
@@ -518,10 +514,11 @@ class Representation:
     dims maps vertices to int dimensions (missing vertices get 0); mats
     maps arrow names to dim(target) x dim(source) matrices acting on column
     vectors (missing arrows get zero matrices).  A key that names no
-    vertex or arrow of the quiver raises QuiverError.
+    vertex or arrow of the quiver, or matrices that violate a relation,
+    raise QuiverError.
     """
 
-    def __init__(self, quiver, dims, mats=None, check_relations=True):
+    def __init__(self, quiver, dims, mats=None):
         from . import exactmat
         self.quiver = quiver
         mats = mats or {}
@@ -553,7 +550,7 @@ class Representation:
             else:
                 m = exactmat.zeros(rows, cols)
             self.mats[name] = m
-        if check_relations and not self.satisfies_relations():
+        if not self.satisfies_relations():
             raise QuiverError("representation violates a relation")
 
     def satisfies_relations(self):
@@ -659,14 +656,6 @@ def _known(q, vertices):
     return vertices
 
 
-def closure_and_border(q, rep):
-    """Full subquiver on the closure of the support of rep, and the border
-    (closure minus support)."""
-    support = rep.support()
-    closure = support_closure(q, support)
-    return q.full_subquiver(closure), frozenset(closure - support)
-
-
 class Winding:
     """A quiver morphism injective on co-starting and on co-ending arrows."""
 
@@ -703,42 +692,6 @@ class Winding:
                     "and an image")
             by_target[key] = name
 
-    @classmethod
-    def identity(cls, q):
-        return cls(q, q, {v: v for v in q.vertices},
-                   {a: a for a in q.arrows})
-
-    def vertex_preimages(self, v):
-        return sorted(w for w, img in self.vertex_map.items() if img == v)
-
-    def arrow_preimages(self, name):
-        return sorted(b for b, img in self.arrow_map.items() if img == name)
-
-
-def pushforward(phi, rep):
-    """Direct sum of fibres: block matrices in the sorted preimage order."""
-    from . import exactmat
-    if rep.quiver is not phi.source:
-        rep = Representation(phi.source, rep.dims, rep.mats,
-                             check_relations=False)
-    offsets = {}
-    dims = {}
-    for v in phi.target.vertices:
-        offset = 0
-        for w in phi.vertex_preimages(v):
-            offsets[w] = offset
-            offset += rep.dims[w]
-        dims[v] = offset
-    mats = {}
-    for name, arrow in phi.target.arrows.items():
-        block = exactmat.zeros(dims[arrow.target], dims[arrow.source])
-        for b in phi.arrow_preimages(name):
-            src = phi.source.arrow(b)
-            exactmat.set_block(block, rep.mats[b], offsets[src.target],
-                               offsets[src.source])
-        mats[name] = block
-    return Representation(phi.target, dims, mats, check_relations=False)
-
 
 def blow_up(q, c):
     """Unfold q along a string into a type-A spine with frozen pendants.
@@ -748,11 +701,8 @@ def blow_up(q, c):
     Returns (blown-up ice quiver, winding onto the closure of the support,
     spine representation).
     """
-    from fractions import Fraction
-
     c = ensure_string(q, c)
-    module = string_module(q, c)
-    closure, _border = closure_and_border(q, module)
+    closure = q.full_subquiver(support_closure(q, set(c.vertices)))
     n = c.length
     spine = [f"v{i}" for i in range(1, n + 2)]
     vertices = list(spine)
@@ -767,7 +717,7 @@ def blow_up(q, c):
         else:
             arrows.append((name, f"v{i + 1}", f"v{i}"))
         arrow_map[name] = step.arrow
-        mats[name] = [[Fraction(1)]]
+        mats[name] = [[1]]
     pendants = []
     for i in range(1, n + 2):
         u = c.vertices[i - 1]

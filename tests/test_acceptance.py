@@ -4,12 +4,13 @@ run prints one pass/fail line per criterion.  All equalities are exact."""
 from stringchar import LaurentPoly, Mat2, Walk, check_identity, \
     cluster_character, enumerate_cluster_variables, enumerate_strings, \
     gr_euler, is_rigid, match_character, mutate, normalisation_vector, \
-    numerator_normalisation, pp_character, pp_variable_map, \
-    principal_extension, pushforward, seed_from_ice_quiver, separate, \
-    string_module, total_gr_euler, walk_count, walk_laurent, walk_numerator
+    pp_character, pp_variable_map, principal_extension, \
+    seed_from_ice_quiver, separate, string_module, total_gr_euler, \
+    walk_count, walk_laurent, walk_numerator
 from stringchar.quiver import BoundIceQuiver, blow_up
 
 from conftest import load
+from oracles import numerator_normalisation, pushforward
 
 
 def var(v, power=1):

@@ -9,12 +9,12 @@ import pytest
 from stringchar import BoundIceQuiver, K0IllDefined, LaurentPoly, \
     NotSubtractionFree, PathLimitExceeded, QuiverError, StringCharError, \
     StringDiagram, UnfrozenViolation, Walk, cluster_character, \
-    ensure_string, enumerate_strings, gr_euler, hereditary_euler, \
-    normalisation_vector, pp_character, pp_variable_map, \
-    principal_extension, separate, simple_pairings, total_gr_euler, \
-    w_monomial, walk_laurent
+    ensure_string, enumerate_strings, gr_euler, normalisation_vector, \
+    pp_character, pp_variable_map, principal_extension, separate, \
+    simple_pairings, total_gr_euler, w_monomial, walk_laurent
 
 from conftest import FIXTURES, load
+from oracles import hereditary_euler
 
 
 def var(v, power=1):

@@ -5,15 +5,15 @@ import pytest
 
 from stringchar import BoundIceQuiver, LaurentPoly, Mat2, QuiverError, \
     Walk, check_identity, coefficient_monomial, enumerate_strings, \
-    frieze_entry, numerator_normalisation, pp_character, \
-    principal_extension, step_matrix, string_module, vertex_matrix, \
-    w_monomial, walk_count, walk_denominator, walk_laurent, walk_matrix, \
-    walk_numerator
+    frieze_entry, pp_character, principal_extension, step_matrix, \
+    string_module, vertex_matrix, w_monomial, walk_count, walk_denominator, \
+    walk_laurent, walk_matrix, walk_numerator
 from stringchar.character import _weights
 from stringchar.formula import _step_monomials
 from stringchar.quiver import Step
 
 from conftest import FIXTURES, caret_quiver, hand_built_quivers, load
+from oracles import numerator_normalisation
 
 
 def var(v, power=1):

@@ -10,15 +10,16 @@ from fractions import Fraction
 import pytest
 
 from stringchar import BoundIceQuiver, K0IllDefined, PathBasis, \
-    PathLimitExceeded, QuiverError, Representation, Walk, blow_up, direct_sum, \
-    enumerate_strings, euler_forms, exactmat, ext1_dim, hereditary_euler, \
-    hom_dim, is_rigid, normalisation_vector, numerator_normalisation, \
-    projective, simple, simple_pairings, string_module
+    PathLimitExceeded, QuiverError, Representation, Walk, blow_up, \
+    enumerate_strings, euler_forms, exactmat, ext1_dim, hom_dim, is_rigid, \
+    normalisation_vector, simple, simple_pairings, string_module
 from stringchar.character import _check_descent
 from stringchar.homalg import _require_finite, _string_pass, euler_form, \
     projective_cover_data
 
 from conftest import FIXTURES, caret_quiver, hand_built_quivers, load
+from oracles import direct_sum, hereditary_euler, numerator_normalisation, \
+    projective, vertex_preimages
 
 
 def fixture_quivers():
@@ -67,7 +68,7 @@ def _syzygy(q, m):
         mats[name] = _coordinates(kernels[arrow.target], images,
                                   cover.dims[arrow.target])
     dims = {v: len(kernels[v]) for v in q.vertices}
-    return cover, Representation(q, dims, mats, check_relations=False)
+    return cover, Representation(q, dims, mats)
 
 
 def _in_a_random_basis(q, m, rng):
@@ -437,7 +438,7 @@ def _blow_up_normalisation(q, c, forward):
     over i with the spine module."""
     qtilde, phi, mtilde = blow_up(q, c)
     return {i: forward[i] - sum(hereditary_euler(qtilde, {j: 1}, mtilde.dims)
-                                for j in phi.vertex_preimages(i))
+                                for j in vertex_preimages(phi, i))
             for i in phi.target.vertices}
 
 

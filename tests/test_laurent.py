@@ -14,6 +14,7 @@ from stringchar.laurent import _FIELD_BITS, _HALF, _NAMES, EXPONENT_LIMIT, \
     _columns, _from_fields
 
 from conftest import kronecker_string, load, run_in_fresh_interpreter
+from oracles import monomial_content
 
 
 def random_poly(rng, nvars=3, nterms=4, span=3):
@@ -363,7 +364,7 @@ def _divide_after_interning_many_names():
         quotient = x ** 2 * y - 3 * y ** -2 + x ** -1
         with pytest.raises(NotDivisible):
             (quotient * divisor + 1).exact_div(divisor)
-        eta, rest = (quotient * x * y ** 2).monomial_content()
+        eta, rest = monomial_content(quotient * x * y ** 2)
         return ((quotient * divisor).exact_div(divisor).text(), str(eta),
                 rest.text())
 
@@ -429,6 +430,30 @@ def test_substitute_is_a_homomorphism():
         (u + 1) * (u + 1) + u + 1
 
 
+def test_substitute_on_a_long_character():
+    # the 862-term character of a length-80 kronecker3 string: the empty
+    # assignment gives it back, and vertex 1 sent to -x[2]^2, so that the
+    # images of many terms merge, gives the sum with + of the image of
+    # each term
+    q = load("kronecker3")
+    f = cluster_character(q, Walk.parse(q, kronecker_string(80)))
+    assert len(f.terms) == 862
+    assert f.substitute({}) == f
+    value = LaurentPoly.monomial(-1, {"2": 2})
+    expected = LaurentPoly.zero()
+    for exps, coeff in f.monomials():
+        term = LaurentPoly.const(coeff)
+        for v, e in exps.items():
+            term = term * (value ** e if v == "1" else LaurentPoly.var(v, e))
+        expected = expected + term
+    assert len(expected.terms) == 81
+    assert f.substitute({"1": value}) == expected
+    # x[1] + x[2]^2 goes to 0, so every image of its product with f cancels
+    # and no zero term is left behind
+    g = f * (LaurentPoly.var("1") + LaurentPoly.var("2", 2))
+    assert g.substitute({"1": value}).terms == {}
+
+
 def test_substitute_requires_units_for_negative_exponents():
     f = LaurentPoly.var("x", -1)
     with pytest.raises(NotInvertible):
@@ -440,14 +465,14 @@ def test_substitute_requires_units_for_negative_exponents():
 def test_monomial_content():
     x, y = LaurentPoly.var("x"), LaurentPoly.var("y")
     f = x ** 2 * y * (x + y)
-    eta, rest = f.monomial_content()
+    eta, rest = monomial_content(f)
     assert eta == {"x": 2, "y": 1}
     assert rest == x + y
     assert LaurentPoly.monomial(1, eta) * rest == f
     with pytest.raises(ValueError):
-        LaurentPoly.zero().monomial_content()
+        monomial_content(LaurentPoly.zero())
     with pytest.raises(ValueError):
-        (x ** -1).monomial_content()
+        monomial_content(x ** -1)
 
 
 def test_is_nonnegative():

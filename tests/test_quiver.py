@@ -5,14 +5,15 @@ import pytest
 
 from stringchar import Arrow, BoundIceQuiver, InputParseError, \
     InvalidStringError, QuiverError, Representation, Step, Walk, Winding, \
-    blow_up, closure_and_border, enumerate_strings, ensure_string, \
-    is_valid_string, principal_extension, pushforward, simple, \
-    string_module, validate_string
+    blow_up, enumerate_strings, ensure_string, is_valid_string, \
+    principal_extension, simple, string_module, validate_string
 from stringchar.character import pp_character
 from stringchar.formula import coefficient_monomial
 from stringchar.quiver import StringViolation, support_closure
 
 from conftest import FIXTURES, caret_quiver, hand_built_quivers, load
+from oracles import arrow_preimages, closure_and_border, identity_winding, \
+    is_blown_up, pushforward, vertex_preimages
 
 
 # -- parsing ----------------------------------------------------------------
@@ -301,10 +302,14 @@ def test_representation_checks():
     assert m.support() == {"1"}
     assert m.total_dim() == 1
     ice = load("a2ice")
-    with pytest.raises(QuiverError):
+    with pytest.raises(QuiverError, match="violates a relation"):
         # alpha then beta must compose to zero
         Representation(ice, {"1": 1, "2": 1, "3": 1},
                        {"alpha": [[1]], "beta": [[1]]})
+    # every representation is checked: there is no option to skip it
+    with pytest.raises(TypeError):
+        Representation(ice, {"1": 1, "2": 1, "3": 1},
+                       {"alpha": [[1]], "beta": [[1]]}, check_relations=False)
 
 
 def test_unknown_vertex_raises_quiver_error():
@@ -392,9 +397,9 @@ def test_closure_and_border():
 
 def test_winding_validation():
     q = load("a2")
-    phi = Winding.identity(q)
-    assert phi.vertex_preimages("1") == ["1"]
-    assert phi.arrow_preimages("alpha") == ["alpha"]
+    phi = identity_winding(q)
+    assert vertex_preimages(phi, "1") == ["1"]
+    assert arrow_preimages(phi, "alpha") == ["alpha"]
     with pytest.raises(QuiverError):
         Winding(q, q, {"1": "9", "2": "2"}, {"alpha": "alpha"})
     with pytest.raises(QuiverError):
@@ -409,7 +414,7 @@ def test_winding_validation():
 def test_pushforward_of_identity_is_identity():
     q = load("a3")
     m = string_module(q, Walk.parse(q, "alpha beta"))
-    pushed = pushforward(Winding.identity(q), m)
+    pushed = pushforward(identity_winding(q), m)
     assert pushed.dims == m.dims
     assert pushed.mats == m.mats
 
@@ -421,7 +426,7 @@ def test_blow_up_structure_doublearrow():
     c = Walk.parse(q, "gamma^-1 epsilon")
     qtilde, phi, mtilde = blow_up(q, c)
     assert len(qtilde.vertices) == 8
-    assert qtilde.is_blown_up()
+    assert is_blown_up(qtilde)
     spine = qtilde.unfrozen_part()
     assert len(spine.vertices) == 3
     assert spine.is_acyclic()
@@ -439,7 +444,7 @@ def test_blow_up_three_vertex_cycle():
     assert qtilde.frozen == frozenset({"beta@v2", "gamma@v1"})
     assert phi.vertex_map == {"v1": "1", "v2": "2",
                               "gamma@v1": "3", "beta@v2": "3"}
-    assert phi.vertex_preimages("3") == ["beta@v2", "gamma@v1"]
+    assert vertex_preimages(phi, "3") == ["beta@v2", "gamma@v1"]
 
 
 def test_blow_up_of_a_loop_has_distinct_pendants():
@@ -459,23 +464,26 @@ def test_blow_up_pendant_names_do_not_collide():
 
 
 def test_blow_up_pushforward_round_trip():
-    q = load("diamond5")
-    for c in enumerate_strings(q, 4):
-        qtilde, phi, mtilde = blow_up(q, c)
-        pushed = pushforward(phi, mtilde)
-        m = string_module(q, c)
-        assert all(pushed.dims[v] == m.dims[v] for v in pushed.dims)
-        assert all(m.dims[v] == 0
-                   for v in q.vertices if v not in pushed.dims)
-        assert pushed.satisfies_relations()
-        # matrix ranks agree arrow by arrow on the closure
-        for name in pushed.quiver.arrows:
-            from stringchar.exactmat import rank
-            cols = len(pushed.mats[name][0]) if pushed.mats[name] else 0
-            assert rank([list(col) for col in zip(*pushed.mats[name])],
-                        len(pushed.mats[name])) == \
-                rank([list(col) for col in zip(*m.mats[name])],
-                     len(m.mats[name]))
+    from stringchar.exactmat import rank
+    for path in sorted(FIXTURES.glob("*.quiver")):
+        q = load(path.stem)
+        for c in enumerate_strings(q, 4 if path.stem == "diamond5" else 3):
+            qtilde, phi, mtilde = blow_up(q, c)
+            pushed = pushforward(phi, mtilde)
+            m = string_module(q, c)
+            # the winding's target is the closure of the module's support
+            closure, _border = closure_and_border(q, m)
+            assert set(phi.target.vertices) == set(closure.vertices), str(c)
+            assert all(pushed.dims[v] == m.dims[v] for v in pushed.dims)
+            assert all(m.dims[v] == 0
+                       for v in q.vertices if v not in pushed.dims)
+            assert pushed.satisfies_relations()
+            # matrix ranks agree arrow by arrow on the closure
+            for name in pushed.quiver.arrows:
+                assert rank([list(col) for col in zip(*pushed.mats[name])],
+                            len(pushed.mats[name])) == \
+                    rank([list(col) for col in zip(*m.mats[name])],
+                         len(m.mats[name]))
 
 
 def test_blow_up_rejects_non_strings():

@@ -10,7 +10,7 @@ import sys
 A4DEC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "fixtures", "a4dec.quiver")
 
-# 63 names and the 8 submodules that the package has always listed
+# the 57 names and 8 submodules that the package lists
 PUBLIC = [
     "Arrow", "BoundIceQuiver", "ExponentOverflow", "InputParseError",
     "InvalidStringError", "K0IllDefined", "LaurentPoly", "Mat2",
@@ -18,17 +18,24 @@ PUBLIC = [
     "PathLimitExceeded", "QuiverError", "Representation", "Seed", "Step",
     "StringCharError", "StringDiagram", "UnfrozenViolation", "Walk",
     "Winding", "blow_up", "character", "check_identity",
-    "closure_and_border", "cluster_character", "coefficient_monomial",
-    "direct_sum", "ensure_string", "enumerate_cluster_variables",
-    "enumerate_strings", "errors", "euler_forms", "exactmat", "ext1_dim",
-    "formula", "frieze_entry", "gr_euler", "hereditary_euler", "hom_dim",
-    "homalg", "is_rigid", "is_valid_string", "laurent", "match_character",
-    "mutate", "mutation", "normalisation_vector", "numerator_normalisation",
-    "pp_character", "pp_variable_map", "principal_extension", "projective",
-    "pushforward", "quiver", "seed_from_ice_quiver", "separate", "simple",
-    "simple_pairings", "step_matrix", "string_module", "total_gr_euler",
-    "validate_string", "vertex_matrix", "w_monomial", "walk_count",
-    "walk_denominator", "walk_laurent", "walk_matrix", "walk_numerator",
+    "cluster_character", "coefficient_monomial", "ensure_string",
+    "enumerate_cluster_variables", "enumerate_strings", "errors",
+    "euler_forms", "exactmat", "ext1_dim", "formula", "frieze_entry",
+    "gr_euler", "hom_dim", "homalg", "is_rigid", "is_valid_string",
+    "laurent", "match_character", "mutate", "mutation",
+    "normalisation_vector", "pp_character", "pp_variable_map",
+    "principal_extension", "quiver", "seed_from_ice_quiver", "separate",
+    "simple", "simple_pairings", "step_matrix", "string_module",
+    "total_gr_euler", "validate_string", "vertex_matrix", "w_monomial",
+    "walk_count", "walk_denominator", "walk_laurent", "walk_matrix",
+    "walk_numerator",
+]
+
+# names the package listed until their functions, which only tests run,
+# moved to tests/oracles.py
+MOVED = [
+    "closure_and_border", "direct_sum", "hereditary_euler",
+    "numerator_normalisation", "projective", "pushforward",
 ]
 
 
@@ -63,9 +70,10 @@ def _cold_start():
     exec("from stringchar import *", namespace)
     for name in PUBLIC:
         assert namespace[name] is getattr(stringchar, name), name
-    try:
-        stringchar.no_such_name
-    except AttributeError as exc:
-        assert "'no_such_name'" in str(exc), exc
-    else:
-        raise AssertionError("stringchar.no_such_name did not raise")
+    for name in ["no_such_name", *MOVED]:
+        try:
+            getattr(stringchar, name)
+        except AttributeError as exc:
+            assert f"{name!r}" in str(exc), exc
+        else:
+            raise AssertionError(f"stringchar.{name} did not raise")
