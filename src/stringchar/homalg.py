@@ -7,7 +7,6 @@ with the simples and its normalising vector."""
 from __future__ import annotations
 
 import weakref
-from fractions import Fraction
 
 from . import exactmat
 from .errors import PathLimitExceeded
@@ -51,9 +50,6 @@ def _require_finite(q):
     _finite.add(q)
 
 
-_path_basis_cache = weakref.WeakKeyDictionary()
-
-
 class PathBasis:
     """For each vertex, the paths starting there that avoid every relation
     subpath; these index a basis of the indecomposable projective.  They
@@ -61,7 +57,6 @@ class PathBasis:
 
     def __init__(self, q):
         _require_finite(q)
-        # no reference to q itself: a basis is cached under the weak key q
         self.targets = {name: arrow.target for name, arrow in q.arrows.items()}
         self.paths = {v: [()] for v in q.vertices}
         relations = set(q.relations)
@@ -86,14 +81,6 @@ class PathBasis:
         return self.targets[path[-1]] if path else v
 
 
-def path_basis(q):
-    basis = _path_basis_cache.get(q)
-    if basis is None:
-        basis = PathBasis(q)
-        _path_basis_cache[q] = basis
-    return basis
-
-
 def hom_dim(q, m, n):
     """dim Hom(m, n): solution space of the commuting squares, exactly."""
     offsets = {}
@@ -108,7 +95,7 @@ def hom_dim(q, m, n):
         # equations: f_t m(a) - n(a) f_s = 0, one per (i < dim n(t), j < dim m(s))
         for i in range(n.dims[t]):
             for j in range(m.dims[s]):
-                row = [Fraction(0)] * total
+                row = [0] * total
                 for k in range(m.dims[t]):
                     row[offsets[t] + i * m.dims[t] + k] += ma[k][j]
                 for k in range(n.dims[s]):
@@ -134,8 +121,7 @@ def _top_generators(q, m):
         _rows, pivots = exactmat.rref(radical_vectors, d)
         for k in range(d):
             if k not in pivots:
-                generators.append(
-                    (v, [Fraction(int(i == k)) for i in range(d)]))
+                generators.append((v, [int(i == k) for i in range(d)]))
     return generators
 
 
@@ -144,7 +130,7 @@ def projective_cover_data(q, m):
 
     Returns (P as a representation, per-vertex matrices of p).
     """
-    basis = path_basis(q)
+    basis = PathBasis(q)
     generators = _top_generators(q, m)
     labels = {v: [] for v in q.vertices}
     for g, (v, _vec) in enumerate(generators):
@@ -160,7 +146,7 @@ def projective_cover_data(q, m):
         for (g, path), j in index[arrow.source].items():
             longer = (g, path + (name,))
             if longer in tgt_index:
-                mat[tgt_index[longer]][j] = Fraction(1)
+                mat[tgt_index[longer]][j] = 1
         mats[name] = mat
     cover = Representation(q, dims, mats)
     proj = {}
@@ -207,17 +193,17 @@ def euler_form(q, m, n):
         if not m.dims[source] or not n.dims[target]:
             # d1 maps into Hom(m(source), n(target)), which is zero
             continue
-        block = [[[Fraction(0)] * total for _j in range(m.dims[source])]
+        block = [[[0] * total for _j in range(m.dims[source])]
                  for _i in range(n.dims[target])]
         # prefixes[l] = m(a_1 ... a_l) by columns, one per j < dim m(source)
-        prefixes = [[[Fraction(int(i == j)) for i in range(m.dims[source])]
+        prefixes = [[[int(i == j) for i in range(m.dims[source])]
                      for j in range(m.dims[source])]]
         for name in rel[:-1]:
             prefixes.append([exactmat.mat_vec(m.mats[name], col)
                              for col in prefixes[-1]])
         # suffix = n(a_{l+2} ... a_k) while rel[l] = a_{l+1} is paired, by
         # rows, one per i < dim n(target)
-        suffix = [[Fraction(int(i == j)) for j in range(n.dims[target])]
+        suffix = [[int(i == j) for j in range(n.dims[target])]
                   for i in range(n.dims[target])]
         for l in reversed(range(len(rel))):
             name = rel[l]
@@ -231,10 +217,8 @@ def euler_form(q, m, n):
                             base = offsets[name] + p * width
                             for k, y in enumerate(right):
                                 row[base + k] += x * y
-            na = n.mats[name]
-            suffix = [[sum((left[p] * na[p][k] for p in range(len(left))),
-                           Fraction(0)) for k in range(n.dims[arrow.source])]
-                      for left in suffix]
+            suffix = exactmat.mat_mul(suffix, n.mats[name],
+                                      n.dims[arrow.source])
         rows.extend(row for line in block for row in line)
     return sum(m.dims[v] * n.dims[v] for v in q.vertices) - total + \
         exactmat.rank(rows, total)

@@ -369,41 +369,16 @@ def _step_ends(quiver, step, end=None, index=1):
     return source, target
 
 
-class StringViolation:
+class StringViolation(collections.namedtuple(
+        "StringViolation", "kind index relation message")):
     """Why a walk is not a string: its kind ("backtrack" or "relation"),
     the 1-based step index where the problem starts, the offending
-    relation path, if any, and the message.  Immutable and compared and
-    hashed by its fields; not a named tuple, whose `index` method the
-    field of that name would hide."""
+    relation path, if any, and the message.  A named tuple, so immutable
+    and compared and hashed by its fields, and equal to the tuple of
+    them, as `Arrow` and `Step` are; its field `index` hides the tuple
+    method of that name, which the package never calls."""
 
-    __slots__ = ("kind", "index", "relation", "message")
-
-    def __init__(self, kind, index, relation, message):
-        for name, value in zip(self.__slots__,
-                               (kind, index, relation, message)):
-            object.__setattr__(self, name, value)
-
-    def _values(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, *_value):
-        raise AttributeError(f"StringViolation is immutable: cannot set or "
-                             f"delete {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value
-                           in zip(self.__slots__, self._values()))
-        return f"StringViolation({fields})"
+    __slots__ = ()
 
     def __str__(self):
         return self.message
@@ -513,9 +488,10 @@ class Representation:
 
     dims maps vertices to int dimensions (missing vertices get 0); mats
     maps arrow names to dim(target) x dim(source) matrices acting on column
-    vectors (missing arrows get zero matrices).  A key that names no
-    vertex or arrow of the quiver, or matrices that violate a relation,
-    raise QuiverError.
+    vectors (missing arrows get zero matrices), whose entries are ints or
+    Fractions and keep their type.  A key that names no vertex or arrow of
+    the quiver, an entry that is not exact (a float, a string), or
+    matrices that violate a relation, raise QuiverError.
     """
 
     def __init__(self, quiver, dims, mats=None):
@@ -543,7 +519,11 @@ class Representation:
             rows = self.dims[arrow.target]
             cols = self.dims[arrow.source]
             if name in mats:
-                m = exactmat.from_rows(mats[name])
+                try:
+                    m = exactmat.from_rows(mats[name])
+                except TypeError as exc:
+                    raise QuiverError(
+                        f"matrix for arrow {name!r}: {exc}") from None
                 if len(m) != rows or any(len(r) != cols for r in m):
                     raise QuiverError(
                         f"matrix for arrow {name!r} must be {rows}x{cols}")
@@ -594,8 +574,6 @@ def string_module(q, c):
     Basis vector z_i sits at the i-th walk vertex; a forward step at
     position i sends z_i to z_{i+1}, an inverse step sends z_{i+1} to z_i.
     """
-    from fractions import Fraction
-
     from . import exactmat
     c = ensure_string(q, c)
     # local[k]: the slot of position k among the positions at its vertex
@@ -610,9 +588,9 @@ def string_module(q, c):
             step.arrow,
             exactmat.zeros(dims.get(arrow.target, 0), dims.get(arrow.source, 0)))
         if step.forward:
-            m[local[i + 1]][local[i]] = Fraction(1)
+            m[local[i + 1]][local[i]] = 1
         else:
-            m[local[i]][local[i + 1]] = Fraction(1)
+            m[local[i]][local[i + 1]] = 1
     return Representation(q, dims, mats)
 
 

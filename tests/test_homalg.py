@@ -27,6 +27,36 @@ def fixture_quivers():
             for path in sorted(FIXTURES.glob("*.quiver"))]
 
 
+# -- exact matrices ----------------------------------------------------------
+
+def test_rref_divides_exactly_on_int_input():
+    assert exactmat.rref([[3, 1]]) == ([[1, Fraction(1, 3)]], [0])
+    # 49 * (1/49) is not 1 in floats, so a float elimination leaves a
+    # second pivot of about 1e-16 here
+    rows, pivots = exactmat.rref([[49, 1], [49, 1]])
+    assert (rows, pivots) == ([[1, Fraction(1, 49)], [0, 0]], [0])
+    assert exactmat.rank([[49, 1], [49, 1]]) == 1
+    for m in ([[3, 1]], [[49, 1], [49, 1]], [[2, 1, 0], [1, 3, 7]]):
+        assert not any(isinstance(x, float)
+                       for row in exactmat.rref(m)[0] for x in row), m
+
+
+def test_products_keep_int_entries():
+    a = [[1, 2], [3, 4]]
+    product, image = exactmat.mat_mul(a, a), exactmat.mat_vec(a, [1, -1])
+    assert product == [[7, 10], [15, 22]] and image == [-1, -1]
+    # a 2x0 times a 0x3 matrix is the 2x3 zero matrix
+    empty = exactmat.mat_mul([[], []], [], 3)
+    assert empty == [[0, 0, 0], [0, 0, 0]]
+    q = load("a2ice")
+    m = string_module(q, Walk.parse(q, "alpha"))
+    cover, proj = projective_cover_data(q, m)
+    matrices = [product, [image], empty, exactmat.zeros(2, 3),
+                *m.mats.values(), *cover.mats.values(), *proj.values()]
+    for matrix in matrices:
+        assert all(type(x) is int for row in matrix for x in row), matrix
+
+
 # -- the projective-presentation oracle for Ext^1 ----------------------------
 
 def _nullspace(m, cols):
@@ -231,7 +261,9 @@ def test_path_basis_of_a_long_relation_on_a_cycle():
     assert sum(len(paths) for paths in basis.paths.values()) == 123
 
 
-def test_cached_path_basis_lets_its_quiver_go():
+def test_projective_cover_leaves_no_reference_to_its_quiver():
+    # nothing the engine keeps, such as a path basis, holds on to q once
+    # the cover is dropped
     q = load("a2ice")
     projective(q, "1")
     gone = weakref.ref(q)

@@ -1,6 +1,9 @@
 """Quiver parsing, walks, string validation, string modules, principal
 extensions, blow-ups, windings and string enumeration."""
 
+import re
+from fractions import Fraction
+
 import pytest
 
 from stringchar import Arrow, BoundIceQuiver, InputParseError, \
@@ -297,6 +300,16 @@ def test_representation_checks():
         Representation(q, {"1": 1.5})
     with pytest.raises(QuiverError):
         Representation(q, {"1": 1, "2": 1}, {"alpha": [[1, 2]]})
+    # an entry is exact, an int or a Fraction, and keeps its type
+    for bad in (0.1, 1.5, "1/3", "x", None, [1]):
+        with pytest.raises(QuiverError, match=re.escape(
+                f"matrix for arrow 'alpha': entry {bad!r} at row 0, "
+                "column 0 is not an int or a Fraction")):
+            Representation(q, {"1": 1, "2": 1}, {"alpha": [[bad]]})
+    for good in (2, Fraction(1, 3)):
+        entry = Representation(q, {"1": 1, "2": 1},
+                               {"alpha": [[good]]}).mats["alpha"][0][0]
+        assert entry == good and type(entry) is type(good)
     m = simple(q, "1")
     assert m.dims == {"1": 1, "2": 0}
     assert m.support() == {"1"}

@@ -64,6 +64,20 @@ def _cold_start():
         "fractions", "stringchar.homalg", "stringchar.exactmat",
         "stringchar.character", "stringchar.formula", "stringchar.sweep"}
 
+    # the string commands do no linear algebra, so no Fraction either
+    for argv in (["verify", A4DEC, "--max-length", "2"],
+                 ["character", A4DEC, "--string", "a1 a2^-1"],
+                 ["chi", A4DEC, "--string", "a1 a2^-1"],
+                 ["normalise", A4DEC, "--string", "a1 a2^-1"],
+                 ["lpoly", A4DEC, "--walk", "a1 a2^-1"],
+                 ["lcount", A4DEC, "--walk", "a1 a2^-1"]):
+        assert stringchar.cli.main(argv) == 0, argv
+        assert not sys.modules.keys() & {"fractions", "decimal"}, argv
+    # euler runs the generic engine, whose elimination divides
+    assert stringchar.cli.main(
+        ["euler", A4DEC, "--lhs", "a1", "--rhs", "a1 a2^-1"]) == 0
+    assert "fractions" in sys.modules
+
     assert stringchar.__all__ == PUBLIC
     assert set(PUBLIC) <= set(dir(stringchar))
     namespace = {}
