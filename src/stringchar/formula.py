@@ -3,13 +3,15 @@ the integer count l_c, frieze entries and the exchange-style identity
 checks.
 
 The numerator N_c of L_c is the bracket [1,1] M [1;1] of a product M of
-2x2 step and vertex matrices.  `walk_numerator` evaluates it as a row
-vector carried along the walk and whole after every vertex, so N_c is the
-sum of its entries: each step multiplies it by one cached monomial matrix
-(`walk_step`), with two products where two of its monomials are equal and
-three elsewhere.  `walk_matrix` forms the full product and is kept as its
-oracle.  At weight 1 that row vector is the transfer state of the string
-diagram, so `walk_count` is the transfer product at weight 1."""
+2x2 step and vertex matrices.  `walk_numerator` evaluates it as a state
+(l, r, l + r) carried along the walk: a row vector, whole after every
+vertex, and its sum, so N_c is the last sum.  Each step multiplies the
+row vector by one cached monomial matrix (`walk_step`), with two products
+where two of its monomials are equal, one of them of the parent's sum,
+and three elsewhere; one sum closes the new state.  `walk_matrix` forms
+the full product and is kept as its oracle.  At weight 1 that state is
+the transfer state (inn, out, total) of the string diagram, so
+`walk_count` is the transfer product at weight 1."""
 
 from __future__ import annotations
 
@@ -54,11 +56,14 @@ def walk_matrix(q, c):
 
 
 def walk_start(q, v):
-    """The row vector [1,1] V'(1) of a walk from v, where V'(1) is the full
-    vertex matrix at v: the monomials of every arrow out of v and into v.
-    The first step leaves its own arrow out (`walk_step`)."""
+    """The walk's state (l, r, l + r) at v: the row vector
+    (l, r) = [1,1] V'(1), where V'(1) is the full vertex matrix at v, the
+    monomials of every arrow out of v and into v, and its sum.  The first
+    step leaves its own arrow out (`walk_step`)."""
     top, bottom = _vertex_ends(q, v)
-    return LaurentPoly.monomial(1, top), LaurentPoly.monomial(1, bottom)
+    left = LaurentPoly.monomial(1, top)
+    right = LaurentPoly.monomial(1, bottom)
+    return left, right, left + right
 
 
 _step_cache = weakref.WeakKeyDictionary()
@@ -107,38 +112,41 @@ def _shifted(exps, v, e):
     return LaurentPoly.monomial(1, {**exps, v: exps[v] + e})
 
 
-def walk_step(q, vector, c, i):
-    """The row vector (l, r) = [1,1] V(1) A(c_1) ... A(c_(i-1)) V'(i) of
-    the walk c times E A(c_i) V'(i+1) for its 1-based step i
+def walk_step(q, state, c, i):
+    """The walk's state (l, r, l + r) after its 1-based step i, from the
+    state before it.  The row vector (l, r) = [1,1] V(1) A(c_1) ...
+    A(c_(i-1)) V'(i) of the walk c is multiplied by E A(c_i) V'(i+1)
     (`_step_monomials`): a forward step maps it to (l a + r b, r d), an
-    inverse one to (l a, l b + r d), and the sum is one product (l + r) a
-    or (l + r) d where its two monomials are equal.  V'(k) is the vertex
-    matrix at v_k without the arrow of step k-1 alone, and V'(i) E = V(i).
-    At the last vertex no step follows, so V'(n+1) = V(n+1) and
-    N_c = l + r."""
+    inverse one to (l a, l b + r d).  Where the two monomials of the
+    first sum are equal, that sum is one product of the parent's l + r,
+    (l + r) a or (l + r) d.  The new sum closes the state.  V'(k) is the
+    vertex matrix at v_k without the arrow of step k-1 alone, and
+    V'(i) E = V(i).  At the last vertex no step follows, so
+    V'(n+1) = V(n+1) and N_c is the last sum."""
     step = c.steps[i - 1]
     a, b, d, equal = _step_monomials(q, step,
                                      c.step_arrow(i - 1) == step.arrow)
-    left, right = vector
+    left, right, total = state
     if step.forward:
-        first = (left + right) * a if equal else left * a + right * b
-        return first, right * d
-    second = (left + right) * d if equal else left * b + right * d
-    return left * a, second
+        left = total * a if equal else left * a + right * b
+        right = right * d
+    else:
+        right = total * d if equal else left * b + right * d
+        left = left * a
+    return left, right, left + right
 
 
 def walk_numerator(q, c):
     """N_c = [1,1] V_c(1) A(c_1) V_c(2) ... A(c_n) V_c(n+1) [1;1].
 
     The bracket is evaluated as a row vector (l, r) carried along the walk
-    from `walk_start`: each step multiplies it by one monomial matrix
-    (`walk_step`), and N_c = l + r.
+    with its sum, from `walk_start`: each step multiplies it by one
+    monomial matrix (`walk_step`), and N_c is the last sum l + r.
     """
-    vector = walk_start(q, c.source)
+    state = walk_start(q, c.source)
     for i in range(1, c.length + 1):
-        vector = walk_step(q, vector, c, i)
-    left, right = vector
-    return left + right
+        state = walk_step(q, state, c, i)
+    return state[2]
 
 
 def walk_denominator(q, c):

@@ -3,11 +3,12 @@
 Variables are strings (vertex ids in practice).  A polynomial is a sparse
 map from monomials to nonzero big integers, and a monomial is packed into
 one int.  A process-wide intern table gives each variable name a field
-index i the first time the name is used; the monomial with exponent e_i at
-index i is the int ``sum(e_i * 2**(32 * i))``, a signed 32-bit field per
-variable.  So a product of monomials is the sum of their keys, the inverse
-of a monomial is the negated key, and comparing keys compares monomials in
-lex order, the variable with the highest index first.  That order is a
+index i the first time the name is used with a nonzero exponent; the
+monomial with exponent e_i at index i is the int
+``sum(e_i * 2**(32 * i))``, a signed 32-bit field per variable.  So a
+product of monomials is the sum of their keys, the inverse of a monomial
+is the negated key, and comparing keys compares monomials in lex order,
+the variable with the highest index first.  That order is a
 group order on Z^n, so `exact_div` divides Laurent polynomials directly by
 leading terms, and a heap of keys gives it the leading term of each
 remainder (Johnson 1974; Monagan and Pearce, "Polynomial division using
@@ -53,11 +54,10 @@ _UNITS = {}    # variable name -> key of the variable itself
 
 
 def _unit(v):
-    """The key of the variable v, interning its name on first use."""
+    """The key of the variable v, a string, interning its name on first
+    use."""
     unit = _UNITS.get(v)
     if unit is None:
-        if not isinstance(v, str):
-            raise TypeError(f"Laurent variable {v!r} is not a string")
         unit = 1 << (_FIELD_BITS * len(_NAMES))
         _NAMES.append(v)
         _UNITS[v] = unit
@@ -72,13 +72,16 @@ def _check_limit(bound, what):
 
 
 def _pack(exponents):
-    """Key and largest absolute exponent of a {var: exp} mapping."""
+    """Key and largest absolute exponent of a {var: exp} mapping.  Only a
+    name with a nonzero exponent is interned, but every name must be a
+    string and every exponent an int."""
     key = bound = 0
     for v, e in exponents.items():
-        unit = _unit(v)
+        if not isinstance(v, str):
+            raise TypeError(f"Laurent variable {v!r} is not a string")
         e = operator.index(e)
         if e:
-            key += e * unit
+            key += e * _unit(v)
             bound = max(bound, abs(e))
     _check_limit(bound, "the monomial")
     return key, bound

@@ -1,21 +1,26 @@
 """The identity X_M * x^n == L_c on every string up to a length, in one
 pass over the string tree (`quiver.string_tree`).
 
-Both sides are left-to-right two-state recurrences along the string, so
-a string one step longer than its parent costs a fixed number of Laurent
-operations on the parent's state, whatever its length (the transfer-matrix
-method, Stanley, Enumerative Combinatorics I, 4.7).  A string carries:
+Every per-string quantity of the identity is a one-step recurrence along
+the string, so a string one step longer than its parent costs a fixed
+number of Laurent operations on the parent's state, whatever its length
+and whatever the size of the quiver (the transfer-matrix method, Stanley,
+Enumerative Combinatorics I, 4.7).  A string carries:
 
-- the walk's row vector (l, r), whole after every vertex, so that
-  N_c = l + r; each step multiplies it by one cached monomial matrix
-  (`formula.walk_step`);
-- the transfer pair (out, inn) at the character's weights, and its sum
-  (`character.transfer_step`).
+- the walk's state (l, r, l + r), a row vector whole after every vertex
+  and its sum, so that N_c is the sum; each step multiplies the row
+  vector by one cached monomial matrix (`formula.walk_step`);
+- the transfer state (out, inn, total) at the character's weights
+  (`character.transfer_step`);
+- the shift x^(A dim M), A_ij the arrows i -> j: the product, over the
+  positions of the string, of the column x^(A e_v) of A at each
+  position's label v, one monomial product a step.
 
-The two sides stay separate recurrences, compared only at the end.  The
-dimension vector and the relation counts of a string
-(`homalg._PositionCount`) take one pass over its positions, which costs
-no Laurent operation.
+The walk is one side of the identity; the transfer state and the shift,
+which is derived from the string alone, are the other.  They stay
+separate recurrences, compared only at the end.  The relation counts of a
+string (`homalg._PositionCount`), from which the K0 check reads, take one
+pass over its positions, which costs no Laurent operation.
 `walk_laurent`, `cluster_character`, `normalisation_vector` and
 `simple_pairings` compute the same values one string at a time.
 """
@@ -27,24 +32,27 @@ from .character import _character, _check_descent, _require_loop_free, \
 from .formula import walk_start, walk_step
 from .homalg import _PositionCount, _require_finite
 from .laurent import LaurentPoly
-from .quiver import string_tree
+from .quiver import _vertex_ends, string_tree
 
 
 class Swept:
     """One string of the sweep: whether X_M * x^n == L_c holds on it
     (`holds`), and the terms from which each side is formed: the transfer
     product T, with X_M = T x^-<S_.,M>, the numerator N_c, with
-    L_c = N_c x^-dim M, and the string's `homalg._StringCounts`."""
+    L_c = N_c x^-dim M, the shift x^(A dim M), with T x^S == N_c where
+    the identity holds, and the string's `homalg._StringCounts`."""
 
     __slots__ = ("quiver", "string", "counts", "transfer", "numerator",
-                 "holds")
+                 "shift", "holds")
 
-    def __init__(self, quiver, string, counts, transfer, numerator, holds):
+    def __init__(self, quiver, string, counts, transfer, numerator, shift,
+                 holds):
         self.quiver = quiver
         self.string = string
         self.counts = counts
         self.transfer = transfer
         self.numerator = numerator
+        self.shift = shift
         self.holds = holds
 
     @property
@@ -57,6 +65,13 @@ class Swept:
             1, {v: -d for v, d in self.counts.dims.items()})
 
 
+def _arrow_columns(q):
+    """The monomial x^(A e_j) of each vertex j, A_ij the arrows i -> j:
+    the product of x_i over the arrows i -> j."""
+    return {j: LaurentPoly.monomial(1, _vertex_ends(q, j)[1])
+            for j in q.vertices}
+
+
 def sweep(q, max_length):
     """Yield a `Swept` for every string of length at most max_length with
     unfrozen support, in `enumerate_strings` order, each as soon as it is
@@ -67,32 +82,34 @@ def sweep(q, max_length):
 
     A string holds when T x^(n - <S_.,M> + dim M) == N_c.  The exponent is
     A dim M - l (`homalg.normalisation_vector`), where A_ij counts the
-    arrows i -> j and l = 0 on a loop-free quiver.  So it is x^(A dim M)
-    (`arrow_sums` of the string's counts), and neither the pairings nor
-    the normalising vector are built."""
+    arrows i -> j and l = 0 on a loop-free quiver.  So it is the carried
+    shift x^(A dim M), and neither the pairings nor the normalising
+    vector are built."""
     if q.unfrozen_vertices:
         _require_loop_free(q)
         _require_finite(q)
     weight = _weights(q)
+    column = _arrow_columns(q)
     positions = _PositionCount(q)
 
-    # a string's state: the walk's (l, r) and the transfer state (out, inn,
-    # total)
+    # a string's state: the walk's (l, r, l + r), the transfer state
+    # (out, inn, total) and the shift
     def root(c):
-        w = weight[c.source]
-        return walk_start(q, c.source), (1, w, 1 + w)
+        v = c.source
+        w = weight[v]
+        return walk_start(q, v), (1, w, 1 + w), column[v]
 
     def extend(state, c):
-        vector, transfer = state
-        return (walk_step(q, vector, c, len(c.steps)),
-                transfer_step(transfer, c.steps[-1].forward,
-                              weight[c.target]))
+        walk, transfer, shift = state
+        v = c.target
+        return (walk_step(q, walk, c, len(c.steps)),
+                transfer_step(transfer, c.steps[-1].forward, weight[v]),
+                shift * column[v])
 
-    for c, ((left, right), transfer) in string_tree(q, max_length, True,
-                                                    root, extend):
+    for c, (walk, transfer, shift) in string_tree(q, max_length, True,
+                                                   root, extend):
         counts = positions.count(c)
         _check_descent(q, c, counts)
-        numerator = left + right
-        holds = transfer[2] * LaurentPoly.monomial(
-            1, counts.arrow_sums(q)) == numerator
-        yield Swept(q, c, counts, transfer[2], numerator, holds)
+        numerator = walk[2]
+        holds = transfer[2] * shift == numerator
+        yield Swept(q, c, counts, transfer[2], numerator, shift, holds)

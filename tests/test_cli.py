@@ -160,25 +160,23 @@ def test_verify(capsys):
 
 
 def test_verify_reports_each_failure(capsys, monkeypatch):
-    # break the shift x^(A dim M) of the identity on the strings of length
-    # 1: their counts are their own, so no longer string inherits the fault
-    count = stringchar.sweep._PositionCount.count
+    # give the column x^(A e_3) of the carried shift one arrow 2 -> 3 too
+    # many: exactly the strings with a position at 3 inherit the fault
+    columns = stringchar.sweep._arrow_columns
 
-    def broken(self, c):
-        counts = count(self, c)
-        if c.length == 1:
-            for v in counts.dims:
-                counts.dims[v] += 1
-        return counts
+    def broken(q):
+        column = columns(q)
+        column["3"] = column["3"] * LaurentPoly.var("2")
+        return column
 
-    monkeypatch.setattr(stringchar.sweep._PositionCount, "count", broken)
+    monkeypatch.setattr(stringchar.sweep, "_arrow_columns", broken)
     code, out, _ = run(capsys, "verify", fixture("a3"), "--max-length", "3")
     lines = out.splitlines()
-    failed = [f"FAIL  {c}" for c in enumerate_strings(load("a3"), 1)
-              if c.length == 1]
-    assert len(failed) > 1
+    strings = enumerate_strings(load("a3"), 3)
+    failed = [f"FAIL  {c}" for c in strings if "3" in c.vertices]
+    assert 1 < len(failed) < len(strings)
     assert [line for line in lines if line.startswith("FAIL ")] == failed
-    assert len(lines) == len(enumerate_strings(load("a3"), 3)) + 1
+    assert len(lines) == len(strings) + 1
     assert lines[-1] == f"FAILED: {len(failed)} failure(s)"
     assert code == 1
 

@@ -227,6 +227,25 @@ def test_variables_are_strings():
         LaurentPoly.monomial(1, {1: 1})
 
 
+def test_a_zero_exponent_interns_no_name():
+    # the intern table is process-wide, so the name must be new to it
+    run_in_fresh_interpreter(_zero_exponent_of_a_new_name)
+
+
+def _zero_exponent_of_a_new_name():
+    names = list(_NAMES)
+    assert LaurentPoly.monomial(1, {"unused": 0}) == LaurentPoly.one()
+    assert _NAMES == names
+    # the name is still checked before the exponent, and both with 0
+    for exponent in (0, 0.5):
+        with pytest.raises(TypeError, match="Laurent variable 1 is not a "
+                                            "string"):
+            LaurentPoly.monomial(1, {1: exponent})
+    with pytest.raises(TypeError, match="float"):
+        LaurentPoly.monomial(1, {"unused": 0.0})
+    assert _NAMES == names
+
+
 def test_as_unit():
     assert LaurentPoly.var("a", -3).as_unit() == (1, {"a": -3})
     assert (-LaurentPoly.var("a")).as_unit() == (-1, {"a": 1})

@@ -37,32 +37,36 @@ def test_sweep_matches_the_single_string_functions():
                 normalisation_vector(q, c), (name, c)
             assert s.walk_polynomial == walk_laurent(q, c), (name, c)
             assert s.counts.pairings(q) == simple_pairings(q, c), (name, c)
+            assert s.shift == LaurentPoly.monomial(
+                1, s.counts.arrow_sums(q)), (name, c)
             assert s.holds, (name, c)
     assert relation_free == 10
 
 
 def test_the_walk_product_is_the_transfer_product_termwise():
-    """With (l, r) the walk's row vector after its last vertex,
+    """With (l, r, l + r) the walk's state after its last vertex,
     (out, inn) the transfer pair at the character's weights and
     x^S = x^(A dim M), every string of length at most 6 on the fixtures
-    has l == x^S inn and r == x^S out; the identity is their sum.
-    Both recurrences are folded here from scratch, apart from `sweep`."""
+    has l == x^S inn and r == x^S out; the identity is their sum, which
+    the walk's state carries as its third entry.  Both recurrences are
+    folded here from scratch, apart from `sweep`."""
     checked = 0
     for name in sorted(LENGTHS):
         q = load(name)
         weight = _weights(q)
         for c in enumerate_strings(q, 6, unfrozen_only=True):
-            vector = walk_start(q, c.source)
+            state = walk_start(q, c.source)
             w = weight[c.source]
             transfer = 1, w, 1 + w
             for i, step in enumerate(c.steps, 1):
-                vector = walk_step(q, vector, c, i)
+                state = walk_step(q, state, c, i)
                 transfer = transfer_step(transfer, step.forward,
                                          weight[c.vertices[i]])
             shift = LaurentPoly.monomial(1, _string_pass(q, c).arrow_sums(q))
-            left, right = vector
+            left, right, total = state
             out, inn, _total = transfer
             assert left == shift * inn, (name, c)
             assert right == shift * out, (name, c)
+            assert total == left + right, (name, c)
             checked += 1
     assert checked == 800
