@@ -124,14 +124,17 @@ def _check_descent(q, c, counts):
     `_StringCounts` of the string c, is the anti-symmetrised pairing of
     S_i with dim M for every vertex i.  The dimension terms of the two
     pairings (`simple_pairings`) give that pairing exactly, so it holds
-    where the relation counts `ahead` and `behind` agree."""
-    for i in q.vertices:
-        # only the anti-symmetrised pairing is ever applied to a bare
-        # dimension class, so that is the descent we must insist on
-        if counts.ahead[i] != counts.behind[i]:
-            raise K0IllDefined(
-                f"the anti-symmetrised pairing with the simple at {i!r} "
-                f"does not descend to the dimension vector of {c}")
+    where the relation counts `ahead` and `behind` agree: one comparison
+    of the two dicts, with a loop over the vertices only to name the
+    first at fault."""
+    # only the anti-symmetrised pairing is ever applied to a bare
+    # dimension class, so that is the descent we must insist on
+    if counts.ahead == counts.behind:
+        return
+    i = next(i for i in q.vertices if counts.ahead[i] != counts.behind[i])
+    raise K0IllDefined(
+        f"the anti-symmetrised pairing with the simple at {i!r} does not "
+        f"descend to the dimension vector of {c}")
 
 
 def _character(q, counts, transfer):

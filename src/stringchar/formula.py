@@ -67,6 +67,10 @@ def walk_start(q, v):
 
 
 _step_cache = weakref.WeakKeyDictionary()
+# the quiver `_step_monomials` last served, by weak reference, and its
+# dict in `_step_cache`: a run of steps on one quiver reaches its dict
+# without a call of the WeakKeyDictionary
+_last_steps = (lambda: None, None)
 
 
 def _step_monomials(q, step, repeats):
@@ -84,7 +88,11 @@ def _step_monomials(q, step, repeats):
     (a, b, d) is (T, T, B) forward and (T, B, B) inverse, with T and B
     the monomials of every arrow out of and into the end vertex, so the
     two entries are equal."""
-    cache = _step_cache.setdefault(q, {})
+    global _last_steps
+    last, cache = _last_steps
+    if last() is not q:
+        cache = _step_cache.setdefault(q, {})
+        _last_steps = weakref.ref(q), cache
     entry = cache.get((step, repeats))
     if entry is None:
         arrow = q.arrow(step.arrow)

@@ -1,9 +1,34 @@
 """Seed mutation with geometric coefficients and breadth-first enumeration
-of cluster variables."""
+of cluster variables.
+
+The search runs on integers.  Each seed carries, besides its extended
+exchange matrix and its cluster, the tropical data of its cluster against
+an initial seed t0 -- the seed the family was built from, whose cluster
+must be a cluster: its C-matrix, the n principal coefficient rows that
+mutate by the same rule as the frozen rows, and one g-vector per unfrozen
+vertex, which mutate at k by Fomin-Zelevinsky, Cluster algebras IV (2007),
+(6.13):
+
+    g'_k = -g_k + sum_i [b_ik]_+ g_i - sum_j [c_jk]_+ b0_j,
+    g'_l = g_l for l != k,
+
+with i over the unfrozen vertices, j over those of t0, b0_j the column j
+of t0's exchange matrix and [x]_+ = max(x, 0).  On a quiver a g-vector
+determines its cluster variable, and distinct cluster variables have
+distinct g-vectors (Derksen-Weyman-Zelevinsky, Quivers with potentials
+and their representations II, 2010).  The g-vectors of a seed also fix
+its C-matrix, by the G/C duality G^T C = I of Nakanishi-Zelevinsky (2012),
+and then its unfrozen exchange matrix, by G B = B0 C (FZ IV, (6.14)).  So
+the set of g-vectors names a seed with principal coefficients up to a
+permutation of its unfrozen labels (`Seed.key`), and as the exchange graph
+does not depend on the coefficients (FZ IV, Conjecture 4.3, proved for
+skew-symmetrizable matrices by Cao-Li, 2020), it names the same seed as
+the Laurent cluster does, whatever the frozen rows.  A Laurent exchange
+runs once per cluster variable: a g-vector seen before gives back its
+polynomial."""
 
 from __future__ import annotations
 
-import collections
 import functools
 import operator
 
@@ -15,7 +40,13 @@ class Seed:
     """An extended exchange matrix (rows: all vertices, columns: unfrozen
     vertices) together with a cluster of Laurent polynomials in the initial
     variables.  The frozen vertices keep their initial variables, which a
-    seed shares with the seeds mutated from it."""
+    seed shares with the seeds mutated from it.
+
+    A seed built here is its own initial seed t0, and its cluster must be
+    a cluster: its C-matrix `c` (rows: the unfrozen vertices of t0,
+    columns: the unfrozen vertices) is the identity and its g-vector `g[j]`
+    is the unit vector of j.  Mutation carries both, and `initial_columns`, the
+    columns of t0's unfrozen exchange matrix in g-vector coordinates."""
 
     def __init__(self, vertices, unfrozen, b, cluster):
         self.vertices = tuple(vertices)
@@ -35,8 +66,7 @@ class Seed:
                 raise QuiverError(
                     f"cluster variable for {j!r}, which is not an unfrozen "
                     "vertex")
-        # Seed.key and the search's record of crossed edges name each
-        # unfrozen vertex by its cluster variable
+        # a cluster's variables are distinct
         carrier = {}
         for j in self.unfrozen:
             if j not in self.cluster:
@@ -56,35 +86,39 @@ class Seed:
         self.frozen_variables = {i: LaurentPoly.var(i)
                                  for i in self.vertices
                                  if i not in self.cluster}
+        self.c = {(i, j): int(i == j) for i in self.unfrozen
+                  for j in self.unfrozen}
+        self.g = {j: tuple(int(i == j) for i in self.unfrozen)
+                  for j in self.unfrozen}
+        self.initial_columns = {j: tuple(self.b[i, j] for i in self.unfrozen)
+                                for j in self.unfrozen}
 
-    def _mutated(self, b, cluster):
-        """A seed with the same vertices and frozen variables; mutation
-        keeps the unfrozen part skew-symmetric, so it is not checked.
+    def _mutated(self, b, c, g, cluster):
+        """A seed with the same vertices, frozen variables and initial
+        seed; mutation keeps the unfrozen part skew-symmetric, so it is not
+        checked.
 
         `mutate` builds seeds here rather than through `__init__`, whose
         copy of b and checks would be repeated for each of the 84 mutations
         (12 x 4 entries each) of enumerating a4dec to depth 10."""
         seed = object.__new__(type(self))
-        seed.vertices, seed.unfrozen, seed.frozen_variables = \
-            self.vertices, self.unfrozen, self.frozen_variables
-        seed.b, seed.cluster = b, cluster
+        seed.vertices, seed.unfrozen, seed.frozen_variables, \
+            seed.initial_columns = self.vertices, self.unfrozen, \
+            self.frozen_variables, self.initial_columns
+        seed.b, seed.c, seed.g, seed.cluster = b, c, g, cluster
         return seed
 
     def key(self):
-        """The seed up to a permutation of its unfrozen labels.
+        """The seed up to a permutation of its unfrozen labels: the set of
+        its g-vectors.
 
-        Each unfrozen row and column is named by its cluster variable and
-        each frozen row by its vertex id, and the key is the set of cluster
-        variables with the set of (row name, column name, b_ij) over the
-        nonzero entries.  The cluster variables of a seed are distinct, so
-        the names are, and two seeds of the same vertices have equal keys
+        A g-vector names one cluster variable (DWZ 2010), and the g-vectors
+        of a seed fix its C-matrix and exchange matrix (see the module
+        docstring), so two seeds with the same initial seed have equal keys
         exactly when a permutation of the unfrozen labels carries one to
         the other: the exchange graph's notion of the same seed
         (Fomin-Zelevinsky, Cluster algebras I and IV)."""
-        values = self.cluster
-        return frozenset(values.values()), frozenset(
-            (values.get(i, i), values[j], bij)
-            for (i, j), bij in self.b.items() if bij)
+        return frozenset(self.g.values())
 
     def __eq__(self, other):
         if not isinstance(other, Seed):
@@ -108,40 +142,58 @@ def seed_from_ice_quiver(q):
     return Seed(q.vertices, unfrozen, b, cluster)
 
 
-def mutate(seed, k, exchanges=None):
-    """Fomin-Zelevinsky mutation at the unfrozen vertex k.
+def mutate(seed, k, variables=None):
+    """Fomin-Zelevinsky mutation at the unfrozen vertex k, of the exchange
+    matrix, the C-matrix, the g-vectors and the cluster.
 
-    `exchanges`, if given, is a dict shared by the mutations of one
-    enumeration.  It maps the inputs of an exchange -- x_k and the multiset
-    of (neighbour value, b_ik) with b_ik != 0 -- to the new cluster
-    variable, which is a function of exactly those inputs.
+    `variables`, if given, maps the g-vectors that the mutations of one
+    search have met to their cluster variables.  The exchange runs only
+    for a g-vector it lacks, and adds it.
     """
     if k not in seed.unfrozen:
         raise QuiverError(f"cannot mutate at {k!r}: not an unfrozen vertex")
-    column = [(i, seed.b[i, k]) for i in seed.vertices if seed.b[i, k]]
     row = [(j, seed.b[k, j]) for j in seed.unfrozen if seed.b[k, j]]
-    # only row k, column k and the entries with b_ik * b_kj > 0 change
-    b = dict(seed.b)
-    for i, bik in column:
-        b[i, k] = -bik
-        for j, bkj in row:
-            if (bik > 0) == (bkj > 0):
-                b[i, j] += abs(bik) * bkj
+    b, column = _mutated_rows(seed.b, seed.vertices, k, row)
     for j, bkj in row:
         b[k, j] = -bkj
-    values = seed.cluster
-    inputs = [(values[i] if i in values else seed.frozen_variables[i], bik)
-              for i, bik in column]
-    if exchanges is None:
-        new = _exchange(values[k], inputs)
-    else:
-        key = values[k], frozenset(collections.Counter(inputs).items())
-        new = exchanges.get(key)
-        if new is None:
-            new = exchanges[key] = _exchange(values[k], inputs)
-    cluster = dict(values)
+    c, c_column = _mutated_rows(seed.c, seed.initial_columns, k, row)
+    g = dict(seed.g)
+    new_g = [-e for e in g[k]]
+    for i, bik in column:
+        if bik > 0 and i in g:
+            new_g = [e + bik * f for e, f in zip(new_g, g[i])]
+    for j, cjk in c_column:
+        if cjk > 0:
+            new_g = [e - cjk * f
+                     for e, f in zip(new_g, seed.initial_columns[j])]
+    g[k] = new_g = tuple(new_g)
+    new = None if variables is None else variables.get(new_g)
+    if new is None:
+        values = seed.cluster
+        new = _exchange(values[k], [
+            (values[i] if i in values else seed.frozen_variables[i], bik)
+            for i, bik in column])
+        if variables is not None:
+            variables[new_g] = new
+    cluster = dict(seed.cluster)
     cluster[k] = new
-    return seed._mutated(b, cluster)
+    return seed._mutated(b, c, g, cluster)
+
+
+def _mutated_rows(m, rows, k, row):
+    """The rows `rows` of m, the exchange matrix or the C-matrix, mutated
+    at k, and the nonzero (i, m_ik) of the old column k; `row` is the
+    nonzero (j, b_kj) of the exchange matrix's row k.  Column k changes
+    sign and m_ij gains |m_ik| b_kj where m_ik and b_kj have the same
+    sign; row k of the exchange matrix is the caller's to negate."""
+    column = [(i, m[i, k]) for i in rows if m[i, k]]
+    m = dict(m)
+    for i, mik in column:
+        m[i, k] = -mik
+        for j, bkj in row:
+            if (mik > 0) == (bkj > 0):
+                m[i, j] += abs(mik) * bkj
+    return m, column
 
 
 def _exchange(x_k, inputs):
@@ -169,45 +221,48 @@ def _reachable_variables(seed, max_depth):
     """Yield the cluster variables within max_depth mutations of seed as a
     breadth-first search over seeds reaches them: the initial cluster, then
     the new variable of each seed not seen before.  A variable is yielded
-    again for each seed it is new in.
+    again for each seed it is new in.  The g-vectors are taken against
+    seed's initial seed, whose cluster must be a cluster.
 
-    The search visits each seed once up to relabelling (`Seed.key`).  That
-    prunes nothing it must reach: mutation commutes with a permutation of
-    the unfrozen labels, so the seeds a relabelled copy reaches within d
-    more mutations are relabelled copies of those the first visit reaches,
-    with the same cluster variables.
+    The search visits each seed once up to relabelling: seeds are keyed by
+    their sets of g-vectors (`Seed.key`), which name the same seeds as
+    their Laurent clusters do.  That prunes nothing it must reach: mutation
+    commutes with a permutation of the unfrozen labels, so the seeds a
+    relabelled copy reaches within d more mutations are relabelled copies
+    of those the first visit reaches, with the same cluster variables.
 
     It also crosses each edge of the exchange graph once.  `crossed` maps
-    the key of each seen seed t to the cluster values at which mutating t
-    is known to lead to a seen seed.  If mutate(s, k) is t relabelled by
+    the key of each seen seed t to the g-vectors at which mutating t is
+    known to lead to a seen seed.  If mutate(s, k) is t relabelled by
     sigma, then mutating t at sigma(k), the vertex that carries
-    mutate(s, k).cluster[k], gives s relabelled by sigma, because mutation
-    is an involution and commutes with relabelling; so that value joins t's
-    record, and t is never mutated there.  The record holds values, not
-    labels, because sigma is not known; a seed's cluster variables are
-    distinct, so a value names one vertex.  A new seed's record starts with
-    the value of the edge it came by.  Each distinct exchange is computed
-    once per call."""
+    mutate(s, k).g[k], gives s relabelled by sigma, because mutation is an
+    involution and commutes with relabelling; so that g-vector joins t's
+    record, and t is never mutated there.  The record holds g-vectors, not
+    labels, because sigma is not known; a seed's g-vectors are distinct,
+    so one names one vertex.  A new seed's record starts with the g-vector
+    of the edge it came by.
+
+    `variables` maps each g-vector met to its cluster variable, so the
+    Laurent exchange runs once per new g-vector, not once per mutation."""
     yield from seed.cluster.values()
+    variables = {seed.g[j]: seed.cluster[j] for j in seed.unfrozen}
     record = set()
     crossed = {seed.key(): record}
-    exchanges = {}
     frontier = [(seed, record)]
     for _ in range(max_depth):
         next_frontier = []
         for current, skip in frontier:
             for k in current.unfrozen:
-                if current.cluster[k] in skip:
+                if current.g[k] in skip:
                     continue
-                mutated = mutate(current, k, exchanges)
-                new = mutated.cluster[k]
+                mutated = mutate(current, k, variables)
                 key = mutated.key()
                 record = crossed.get(key)
                 if record is None:
                     record = crossed[key] = set()
                     next_frontier.append((mutated, record))
-                    yield new
-                record.add(new)
+                    yield mutated.cluster[k]
+                record.add(mutated.g[k])
         frontier = next_frontier
         if not frontier:
             break

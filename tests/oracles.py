@@ -9,6 +9,8 @@ the package computes another way.
   the principal-coefficient character are checked.
 - `numerator_normalisation`, the exponents of the largest monomial that
   divides the walk numerator, from `monomial_content`.
+- The Laurent-keyed search: the cluster-variable search with seeds keyed
+  by their Laurent clusters (`laurent_key`) instead of their g-vectors.
 """
 
 from stringchar import exactmat
@@ -16,6 +18,7 @@ from stringchar.errors import QuiverError
 from stringchar.formula import walk_numerator
 from stringchar.homalg import projective_cover_data
 from stringchar.laurent import LaurentPoly
+from stringchar.mutation import mutate
 from stringchar.quiver import Representation, Winding, simple, \
     support_closure
 
@@ -137,3 +140,47 @@ def numerator_normalisation(q, c):
     """The exponent vector eta_c of the maximal monomial dividing N_c."""
     eta, _rest = monomial_content(walk_numerator(q, c))
     return eta
+
+
+# -- the Laurent-keyed search --------------------------------------------------
+
+def laurent_key(seed):
+    """The seed up to a permutation of its unfrozen labels, named by its
+    Laurent cluster: the set of cluster variables with the set of (row
+    name, column name, b_ij) over the nonzero entries, each unfrozen row
+    and column named by its cluster variable and each frozen row by its
+    vertex id."""
+    values = seed.cluster
+    return frozenset(values.values()), frozenset(
+        (values.get(i, i), values[j], bij)
+        for (i, j), bij in seed.b.items() if bij)
+
+
+def laurent_keyed_search(seed, max_depth):
+    """`mutation._reachable_variables` with seeds keyed by `laurent_key`
+    and crossed edges recorded by cluster values, each mutation computing
+    its exchange afresh.  Returns the variables in the order it yields
+    them and the number of mutations it makes."""
+    found = list(seed.cluster.values())
+    mutations = 0
+    record = set()
+    crossed = {laurent_key(seed): record}
+    frontier = [(seed, record)]
+    for _ in range(max_depth):
+        next_frontier = []
+        for current, skip in frontier:
+            for k in current.unfrozen:
+                if current.cluster[k] in skip:
+                    continue
+                mutations += 1
+                mutated = mutate(current, k)
+                new = mutated.cluster[k]
+                key = laurent_key(mutated)
+                record = crossed.get(key)
+                if record is None:
+                    record = crossed[key] = set()
+                    next_frontier.append((mutated, record))
+                    found.append(new)
+                record.add(new)
+        frontier = next_frontier
+    return found, mutations

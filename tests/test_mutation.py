@@ -7,8 +7,10 @@ import pytest
 from stringchar import LaurentPoly, QuiverError, Seed, StringCharError, \
     Walk, cluster_character, enumerate_cluster_variables, enumerate_strings, \
     match_character, mutate, seed_from_ice_quiver
+from stringchar.mutation import _reachable_variables
 
 from conftest import FIXTURES, load
+from oracles import laurent_key, laurent_keyed_search
 
 
 def var(v, power=1):
@@ -211,11 +213,12 @@ def _labelled_key(seed):
     return frozenset(seed.cluster.items()), frozenset(seed.b.items())
 
 
-def _enumerate_by_mutation(seed, max_depth, exchanges=None):
+def _enumerate_by_mutation(seed, max_depth, known=None):
     """enumerate_cluster_variables as a plain breadth-first search over
     labelled seeds: every frontier seed is mutated at every unfrozen
-    vertex, and without `exchanges` every mutation computes its exchange
-    polynomial afresh.  Returns (variables, mutations made, non-root seeds
+    vertex, and without `known`, mutate's dict from g-vector to cluster
+    variable, every mutation computes its exchange polynomial
+    afresh.  Returns (variables, mutations made, non-root seeds
     mutated)."""
     seen = {_labelled_key(seed)}
     variables = set(seed.cluster.values())
@@ -228,7 +231,7 @@ def _enumerate_by_mutation(seed, max_depth, exchanges=None):
         for current in frontier:
             for k in current.unfrozen:
                 mutations += 1
-                mutated = mutate(current, k, exchanges)
+                mutated = mutate(current, k, known)
                 key = _labelled_key(mutated)
                 if key not in seen:
                     seen.add(key)
@@ -264,8 +267,8 @@ def test_enumeration_computes_each_exchange_once(monkeypatch):
     variables = enumerate_cluster_variables(
         seed_from_ice_quiver(load("a4dec")), 10)
     assert len(variables) == 14
-    # 84 mutations, but only 40 distinct exchanges
-    assert len(calls) == 40
+    # 84 mutations, but only 10 cluster variables besides the initial 4
+    assert len(calls) == 10
 
 
 def _counting_mutate(monkeypatch):
@@ -299,20 +302,20 @@ def test_enumeration_skips_the_vertex_each_seed_came_from(monkeypatch):
 def _exchange_graph_edge_counts(seed, max_depth):
     """For d = 0..max_depth, the number of edges {key(s), key(mutate(s, k))}
     of the exchange graph up to relabelling over the seeds s within d - 1
-    mutations of seed: a plain breadth-first search over keys that mutates
+    mutations of seed, with seeds named by their Laurent clusters
+    (`laurent_key`): a plain breadth-first search over keys that mutates
     every seed it reaches at every unfrozen vertex."""
-    seen = {seed.key()}
+    seen = {laurent_key(seed)}
     edges = set()
     counts = [0]
     frontier = [seed]
-    exchanges = {}
     for _ in range(max_depth):
         next_frontier = []
         for current in frontier:
             for k in current.unfrozen:
-                mutated = mutate(current, k, exchanges)
-                key = mutated.key()
-                edges.add(frozenset((current.key(), key)))
+                mutated = mutate(current, k)
+                key = laurent_key(mutated)
+                edges.add(frozenset((laurent_key(current), key)))
                 if key not in seen:
                     seen.add(key)
                     next_frontier.append(mutated)
@@ -372,11 +375,34 @@ def test_enumeration_up_to_relabelling_matches_the_labelled_search():
 
 
 def _relabelled(seed, sigma):
-    """The seed with each unfrozen label j renamed sigma[j]."""
+    """The seed with each unfrozen label j renamed sigma[j], in its
+    exchange matrix, cluster, C-matrix columns and g-vectors."""
     name = {i: sigma.get(i, i) for i in seed.vertices}
     b = {(name[i], name[j]): bij for (i, j), bij in seed.b.items()}
     cluster = {name[j]: f for j, f in seed.cluster.items()}
-    return Seed(seed.vertices, seed.unfrozen, b, cluster)
+    relabelled = Seed(seed.vertices, seed.unfrozen, b, cluster)
+    relabelled.c = {(i, name[j]): cij for (i, j), cij in seed.c.items()}
+    relabelled.g = {name[j]: g for j, g in seed.g.items()}
+    relabelled.initial_columns = seed.initial_columns
+    return relabelled
+
+
+def _labelled_seeds(seed, max_depth):
+    """Every seed within max_depth mutations of seed, one per labelled
+    seed (`_labelled_key`)."""
+    seen = {_labelled_key(seed): seed}
+    frontier = [seed]
+    for _ in range(max_depth):
+        next_frontier = []
+        for current in frontier:
+            for k in current.unfrozen:
+                mutated = mutate(current, k)
+                key = _labelled_key(mutated)
+                if key not in seen:
+                    seen[key] = mutated
+                    next_frontier.append(mutated)
+        frontier = next_frontier
+    return list(seen.values())
 
 
 def test_seed_key_forgets_the_unfrozen_labels_only():
@@ -390,24 +416,104 @@ def test_seed_key_forgets_the_unfrozen_labels_only():
         assert relabelled != seed
         assert relabelled.key() == seed.key()
         assert _labelled_key(relabelled) != _labelled_key(seed)
+        # mutation commutes with the relabelling
+        for k in seed.unfrozen:
+            assert mutate(relabelled, sigma.get(k, k)) == \
+                _relabelled(mutate(seed, k), sigma)
+    # the g-vectors name the same seeds as the Laurent clusters: over the
+    # labelled seeds near each start, equal keys and equal Laurent keys
+    # go together
+    merged = 0
+    for name, depth in (("a4dec", 4), ("dcyclic4", 4), ("kronecker2", 6),
+                        ("doublearrow4", 3)):
+        seeds = _labelled_seeds(seed_from_ice_quiver(load(name)), depth)
+        pairs = {(s.key(), laurent_key(s)) for s in seeds}
+        assert len({key for key, _ in pairs}) == len(pairs), name
+        assert len({key for _, key in pairs}) == len(pairs), name
+        merged += len(seeds) - len(pairs)
+    # some of the labelled seeds are relabelled copies of others
+    assert merged > 0
 
-    def changed(entries):
-        b = dict(seed.b)
-        b.update(entries)
-        return Seed(seed.vertices, seed.unfrozen, b, seed.cluster)
 
-    assert changed({}).key() == seed.key()
-    # one frozen entry, and one skew-symmetric pair of unfrozen entries
-    assert changed({("y1", "2"): seed.b["y1", "2"] + 1}).key() != seed.key()
-    assert changed({("1", "3"): seed.b["1", "3"] + 1,
-                    ("3", "1"): seed.b["3", "1"] - 1}).key() != seed.key()
-    # a frozen row moved onto another frozen vertex, and two different
-    # frozen rows swapped
-    assert any(seed.b["y1", j] for j in seed.unfrozen)
-    moved = {("z4", j): seed.b["y1", j] for j in seed.unfrozen}
-    moved.update({("y1", j): 0 for j in seed.unfrozen})
-    assert changed(moved).key() != seed.key()
-    swapped = {("y1", j): seed.b["y2", j] for j in seed.unfrozen}
-    swapped.update({("y2", j): seed.b["y1", j] for j in seed.unfrozen})
-    assert swapped != {("y1", j): seed.b["y1", j] for j in seed.unfrozen}
-    assert changed(swapped).key() != seed.key()
+def _principal(seed):
+    """The seed's unfrozen part with principal coefficients: a frozen
+    vertex j' per unfrozen vertex j, with b_j'i = 1 if i == j, else 0."""
+    primed = {j: f"{j}'" for j in seed.unfrozen}
+    b = {(i, j): seed.b[i, j] for i in seed.unfrozen for j in seed.unfrozen}
+    b.update({(primed[i], j): int(i == j)
+              for i in seed.unfrozen for j in seed.unfrozen})
+    return Seed(list(seed.unfrozen) + list(primed.values()), seed.unfrozen,
+                b, {j: var(j) for j in seed.unfrozen})
+
+
+def test_g_vectors_are_the_degrees_of_principal_coefficient_variables():
+    # with principal coefficients a cluster variable is homogeneous for
+    # deg x_i = e_i, deg y_j = -b0_j, of degree its g-vector (FZ IV,
+    # Proposition 6.1); its C-matrix is the exponent matrix of the frozen
+    # rows; and G^T C = I, G B = B0 C (Nakanishi-Zelevinsky 2012)
+    checked = 0
+    for name, depth in (("a4dec", 4), ("dcyclic5", 3), ("kronecker3", 5),
+                        ("doublearrow4", 3), ("diamond5", 3)):
+        start = _principal(seed_from_ice_quiver(load(name)))
+        initial = start.unfrozen
+        b0 = {(i, j): start.b[i, j] for i in initial for j in initial}
+        for seed in _labelled_seeds(start, depth):
+            unfrozen = seed.unfrozen
+            for j in unfrozen:
+                assert seed.initial_columns[j] == \
+                    tuple(b0[i, j] for i in initial)
+                for i in initial:
+                    assert seed.c[i, j] == seed.b[f"{i}'", j]
+                for exponents, _coeff in seed.cluster[j].monomials():
+                    degree = [exponents.get(i, 0) for i in initial]
+                    for r, i in enumerate(initial):
+                        for s in initial:
+                            degree[r] -= exponents.get(f"{s}'", 0) * \
+                                b0[i, s]
+                    assert tuple(degree) == seed.g[j], (name, j)
+            for k in unfrozen:
+                for j in unfrozen:
+                    assert sum(seed.g[j][r] * seed.c[i, k]
+                               for r, i in enumerate(initial)) == \
+                        int(j == k), (name, j, k)
+                for r, u in enumerate(initial):
+                    assert sum(seed.g[j][r] * seed.b[j, k]
+                               for j in unfrozen) == \
+                        sum(b0[u, i] * seed.c[i, k] for i in initial), \
+                        (name, u, k)
+                checked += 1
+    assert checked > 1000
+
+
+def _search_cases():
+    """(name, start seed, depth) for depths 0 to 4 from the initial seed of
+    every loop- and 2-cycle-free fixture, and from a mutated a4dec seed,
+    as it is and rebuilt as an initial seed whose cluster is not the
+    initial variables."""
+    starts = []
+    for path in sorted(FIXTURES.glob("*.quiver")):
+        try:
+            starts.append((path.stem, seed_from_ice_quiver(load(path.stem))))
+        except QuiverError:
+            continue
+    mutated = seed_from_ice_quiver(load("a4dec"))
+    for k in ("2", "3", "1"):
+        mutated = mutate(mutated, k)
+    starts.append(("a4dec mutated", mutated))
+    starts.append(("a4dec rebuilt", Seed(mutated.vertices, mutated.unfrozen,
+                                         mutated.b, mutated.cluster)))
+    return [(name, seed, depth) for name, seed in starts
+            for depth in range(5)]
+
+
+def test_g_vector_search_matches_the_laurent_keyed_search(monkeypatch):
+    cases = _search_cases()
+    assert len(cases) >= 60
+    expected = [laurent_keyed_search(seed, depth)
+                for _name, seed, depth in cases]
+    calls = _counting_mutate(monkeypatch)
+    for (name, seed, depth), (found, mutations) in zip(cases, expected):
+        calls.clear()
+        assert list(_reachable_variables(seed, depth)) == found, \
+            (name, depth)
+        assert len(calls) == mutations, (name, depth)
