@@ -44,6 +44,7 @@ class Seed:
 
     A seed built here is its own initial seed t0, and its cluster must be
     a cluster: its C-matrix `c` (rows: the unfrozen vertices of t0,
+    which are the seed's own unfrozen labels, as mutation keeps them;
     columns: the unfrozen vertices) is the identity and its g-vector `g[j]`
     is the unit vector of j.  Mutation carries both, and `initial_columns`, the
     columns of t0's unfrozen exchange matrix in g-vector coordinates."""
@@ -117,7 +118,12 @@ class Seed:
         docstring), so two seeds with the same initial seed have equal keys
         exactly when a permutation of the unfrozen labels carries one to
         the other: the exchange graph's notion of the same seed
-        (Fomin-Zelevinsky, Cluster algebras I and IV)."""
+        (Fomin-Zelevinsky, Cluster algebras I and IV).
+
+        Keys compare only seeds with the same initial seed: every seed
+        built by `Seed(...)` has the unit g-vectors, so any two of them on
+        the same unfrozen vertices have equal keys, whatever their
+        exchange matrices and clusters."""
         return frozenset(self.g.values())
 
     def __eq__(self, other):
@@ -156,7 +162,7 @@ def mutate(seed, k, variables=None):
     b, column = _mutated_rows(seed.b, seed.vertices, k, row)
     for j, bkj in row:
         b[k, j] = -bkj
-    c, c_column = _mutated_rows(seed.c, seed.initial_columns, k, row)
+    c, c_column = _mutated_rows(seed.c, seed.unfrozen, k, row)
     g = dict(seed.g)
     new_g = [-e for e in g[k]]
     for i, bik in column:

@@ -1,12 +1,14 @@
 """Seed mutation, cluster-variable enumeration and character matching."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from stringchar import LaurentPoly, QuiverError, Seed, StringCharError, \
     Walk, cluster_character, enumerate_cluster_variables, enumerate_strings, \
     match_character, mutate, seed_from_ice_quiver
+from stringchar import mutation
 from stringchar.mutation import _reachable_variables
 
 from conftest import FIXTURES, load
@@ -213,31 +215,48 @@ def _labelled_key(seed):
     return frozenset(seed.cluster.items()), frozenset(seed.b.items())
 
 
-def _enumerate_by_mutation(seed, max_depth, known=None):
+def _memoised_on_inputs(exchange):
+    """`exchange` memoised on its Laurent inputs, x_k and the multiset of
+    (value, exponent) pairs: sound whatever the g-vectors say."""
+    memo = {}
+
+    def memoised(x_k, inputs):
+        key = x_k, frozenset(Counter(inputs).items())
+        if key not in memo:
+            memo[key] = exchange(x_k, inputs)
+        return memo[key]
+    return memoised
+
+
+def _enumerate_by_mutation(seed, max_depth, memoised=False):
     """enumerate_cluster_variables as a plain breadth-first search over
     labelled seeds: every frontier seed is mutated at every unfrozen
-    vertex, and without `known`, mutate's dict from g-vector to cluster
-    variable, every mutation computes its exchange polynomial
-    afresh.  Returns (variables, mutations made, non-root seeds
-    mutated)."""
+    vertex, with no dict from g-vector to cluster variable.  Each mutation
+    computes its exchange polynomial afresh, or if `memoised`, once per
+    distinct Laurent input (`_memoised_on_inputs`).  Returns (variables,
+    mutations made, non-root seeds mutated)."""
     seen = {_labelled_key(seed)}
     variables = set(seed.cluster.values())
     frontier = [seed]
     mutations = mutated_non_root = 0
-    for depth in range(max_depth):
-        if depth:
-            mutated_non_root += len(frontier)
-        next_frontier = []
-        for current in frontier:
-            for k in current.unfrozen:
-                mutations += 1
-                mutated = mutate(current, k, known)
-                key = _labelled_key(mutated)
-                if key not in seen:
-                    seen.add(key)
-                    variables.update(mutated.cluster.values())
-                    next_frontier.append(mutated)
-        frontier = next_frontier
+    with pytest.MonkeyPatch.context() as patch:
+        if memoised:
+            patch.setattr(mutation, "_exchange",
+                          _memoised_on_inputs(mutation._exchange))
+        for depth in range(max_depth):
+            if depth:
+                mutated_non_root += len(frontier)
+            next_frontier = []
+            for current in frontier:
+                for k in current.unfrozen:
+                    mutations += 1
+                    mutated = mutate(current, k)
+                    key = _labelled_key(mutated)
+                    if key not in seen:
+                        seen.add(key)
+                        variables.update(mutated.cluster.values())
+                        next_frontier.append(mutated)
+            frontier = next_frontier
     return (sorted(variables, key=lambda f: f.text()), mutations,
             mutated_non_root)
 
@@ -287,7 +306,7 @@ def _counting_mutate(monkeypatch):
 def test_enumeration_skips_the_vertex_each_seed_came_from(monkeypatch):
     seed = seed_from_ice_quiver(load("a4dec"))
     variables, plain_calls, mutated_non_root = _enumerate_by_mutation(
-        seed, 10, {})
+        seed, 10, memoised=True)
     calls = _counting_mutate(monkeypatch)
     assert enumerate_cluster_variables(seed, 10) == variables
     # mutation is an involution: mutating a seed at the vertex it came from
@@ -370,8 +389,9 @@ def test_enumeration_up_to_relabelling_matches_the_labelled_search():
               for name, depth in (("a4dec", 10), ("dcyclic4", 8),
                                   ("kronecker2", 12))]
     for name, seed, depth in cases:
-        assert enumerate_cluster_variables(seed, depth) == \
-            _enumerate_by_mutation(seed, depth, {})[0], (name, depth)
+        expected = _enumerate_by_mutation(seed, depth, memoised=True)[0]
+        assert enumerate_cluster_variables(seed, depth) == expected, \
+            (name, depth)
 
 
 def _relabelled(seed, sigma):
