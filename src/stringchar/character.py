@@ -97,9 +97,10 @@ def cluster_character(q, c):
 
 
 def _require_loop_free(q):
-    if q.has_loops_or_two_cycles():
+    fault = q.loop_or_two_cycle()
+    if fault:
         raise QuiverError("cluster characters need a loop- and 2-cycle-free "
-                          "quiver")
+                          f"quiver: {fault}")
 
 
 def _weights(q):

@@ -66,11 +66,8 @@ def walk_start(q, v):
     return left, right, left + right
 
 
+# each quiver's dict from (step, repeat flag) to its `_step_monomials`
 _step_cache = weakref.WeakKeyDictionary()
-# the quiver `_step_monomials` last served, by weak reference, and its
-# dict in `_step_cache`: a run of steps on one quiver reaches its dict
-# without a call of the WeakKeyDictionary
-_last_steps = (lambda: None, None)
 
 
 def _step_monomials(q, step, repeats):
@@ -81,38 +78,28 @@ def _step_monomials(q, step, repeats):
     step matrix, V' the vertex matrix where the step ends without the
     step's arrow alone, and E leaves that arrow out where the step starts,
     unless the step repeats the arrow of the step before (a backtrack, or
-    a loop taken twice), whose V' has already left it out.  Built once per
-    quiver, step and repeat flag.
+    a loop taken twice), whose V' has already left it out.  `walk_step`
+    keeps each entry in the quiver's dict in `_step_cache`.
 
     On an arrow that is neither a loop nor repeated, its variables cancel:
     (a, b, d) is (T, T, B) forward and (T, B, B) inverse, with T and B
     the monomials of every arrow out of and into the end vertex, so the
     two entries are equal."""
-    global _last_steps
-    last, cache = _last_steps
-    if last() is not q:
-        cache = _step_cache.setdefault(q, {})
-        _last_steps = weakref.ref(q), cache
-    entry = cache.get((step, repeats))
-    if entry is None:
-        arrow = q.arrow(step.arrow)
-        s, t = arrow.source, arrow.target
-        start, end = (s, t) if step.forward else (t, s)
-        top, bottom = _vertex_ends(q, end, (arrow.name,))
-        # E divides the top by x_t if the arrow leaves the start, and the
-        # bottom by x_s if it enters it (both for a loop)
-        cut_top = not repeats and s == start
-        cut_bottom = not repeats and t == start
-        a = _shifted(top, t, 1 - cut_top)
-        d = _shifted(bottom, s, 1 - cut_bottom)
-        if step.forward:
-            b = _shifted(top, s, -cut_bottom)
-            entry = (a, b, d, a == b)
-        else:
-            b = _shifted(bottom, t, -cut_top)
-            entry = (a, b, d, b == d)
-        cache[step, repeats] = entry
-    return entry
+    arrow = q.arrow(step.arrow)
+    s, t = arrow.source, arrow.target
+    start, end = (s, t) if step.forward else (t, s)
+    top, bottom = _vertex_ends(q, end, (arrow.name,))
+    # E divides the top by x_t if the arrow leaves the start, and the
+    # bottom by x_s if it enters it (both for a loop)
+    cut_top = not repeats and s == start
+    cut_bottom = not repeats and t == start
+    a = _shifted(top, t, 1 - cut_top)
+    d = _shifted(bottom, s, 1 - cut_bottom)
+    if step.forward:
+        b = _shifted(top, s, -cut_bottom)
+        return a, b, d, a == b
+    b = _shifted(bottom, t, -cut_top)
+    return a, b, d, b == d
 
 
 def _shifted(exps, v, e):
@@ -120,7 +107,7 @@ def _shifted(exps, v, e):
     return LaurentPoly.monomial(1, {**exps, v: exps[v] + e})
 
 
-def walk_step(q, state, c, i):
+def walk_step(q, steps, state, c, i):
     """The walk's state (l, r, l + r) after its 1-based step i, from the
     state before it.  The row vector (l, r) = [1,1] V(1) A(c_1) ...
     A(c_(i-1)) V'(i) of the walk c is multiplied by E A(c_i) V'(i+1)
@@ -130,10 +117,15 @@ def walk_step(q, state, c, i):
     (l + r) a or (l + r) d.  The new sum closes the state.  V'(k) is the
     vertex matrix at v_k without the arrow of step k-1 alone, and
     V'(i) E = V(i).  At the last vertex no step follows, so
-    V'(n+1) = V(n+1) and N_c is the last sum."""
+    V'(n+1) = V(n+1) and N_c is the last sum.
+
+    `steps` is q's dict in `_step_cache`; a matrix it lacks is built and
+    added."""
     step = c.steps[i - 1]
-    a, b, d, equal = _step_monomials(q, step,
-                                     c.step_arrow(i - 1) == step.arrow)
+    key = step, c.step_arrow(i - 1) == step.arrow
+    if key not in steps:
+        steps[key] = _step_monomials(q, *key)
+    a, b, d, equal = steps[key]
     left, right, total = state
     if step.forward:
         left = total * a if equal else left * a + right * b
@@ -152,8 +144,9 @@ def walk_numerator(q, c):
     monomial matrix (`walk_step`), and N_c is the last sum l + r.
     """
     state = walk_start(q, c.source)
+    steps = _step_cache.setdefault(q, {})
     for i in range(1, c.length + 1):
-        state = walk_step(q, state, c, i)
+        state = walk_step(q, steps, state, c, i)
     return state[2]
 
 

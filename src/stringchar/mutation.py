@@ -23,9 +23,11 @@ the set of g-vectors names a seed with principal coefficients up to a
 permutation of its unfrozen labels (`Seed.key`), and as the exchange graph
 does not depend on the coefficients (FZ IV, Conjecture 4.3, proved for
 skew-symmetrizable matrices by Cao-Li, 2020), it names the same seed as
-the Laurent cluster does, whatever the frozen rows.  A Laurent exchange
-runs once per cluster variable: a g-vector seen before gives back its
-polynomial."""
+the Laurent cluster does, whatever the frozen rows.  As (6.13) reads
+only the seed before the mutation, the search knows each neighbour's key
+before it builds the neighbour, and builds only the seeds it has not
+seen.  A Laurent exchange runs once per cluster variable: a g-vector seen
+before gives back its polynomial."""
 
 from __future__ import annotations
 
@@ -37,10 +39,10 @@ from .laurent import LaurentPoly
 
 
 class Seed:
-    """An extended exchange matrix (rows: all vertices, columns: unfrozen
-    vertices) together with a cluster of Laurent polynomials in the initial
-    variables.  The frozen vertices keep their initial variables, which a
-    seed shares with the seeds mutated from it.
+    """An extended exchange matrix of ints (rows: all vertices, columns:
+    unfrozen vertices) together with a cluster of Laurent polynomials in
+    the initial variables.  The frozen vertices keep their initial
+    variables, which a seed shares with the seeds mutated from it.
 
     A seed built here is its own initial seed t0, and its cluster must be
     a cluster: its C-matrix `c` (rows: the unfrozen vertices of t0,
@@ -55,18 +57,25 @@ class Seed:
         for j in self.unfrozen:
             if j not in self.vertices:
                 raise QuiverError(f"unfrozen vertex {j!r} is not a vertex")
-        try:
-            self.b = {(i, j): b[i, j] for i in self.vertices
-                      for j in self.unfrozen}
-        except KeyError as exc:
-            raise QuiverError(
-                f"the exchange matrix has no entry {exc.args[0]!r}") from None
+        self.b = {}
+        for entry in ((i, j) for i in self.vertices for j in self.unfrozen):
+            try:
+                self.b[entry] = operator.index(b[entry])
+            except KeyError:
+                raise QuiverError(
+                    f"the exchange matrix has no entry {entry!r}") from None
+            except TypeError:
+                raise QuiverError(f"exchange matrix entry {entry!r} is not "
+                                  f"an int: {b[entry]!r}") from None
         self.cluster = dict(cluster)
-        for j in self.cluster:
+        for j, value in self.cluster.items():
             if j not in self.unfrozen:
                 raise QuiverError(
                     f"cluster variable for {j!r}, which is not an unfrozen "
                     "vertex")
+            if not isinstance(value, LaurentPoly):
+                raise QuiverError(f"cluster variable for {j!r} is not a "
+                                  f"Laurent polynomial: {value!r}")
         # a cluster's variables are distinct
         carrier = {}
         for j in self.unfrozen:
@@ -100,13 +109,10 @@ class Seed:
         checked.
 
         `mutate` builds seeds here rather than through `__init__`, whose
-        copy of b and checks would be repeated for each of the 84 mutations
+        copy of b and checks would be repeated for each of the 41 mutations
         (12 x 4 entries each) of enumerating a4dec to depth 10."""
         seed = object.__new__(type(self))
-        seed.vertices, seed.unfrozen, seed.frozen_variables, \
-            seed.initial_columns = self.vertices, self.unfrozen, \
-            self.frozen_variables, self.initial_columns
-        seed.b, seed.c, seed.g, seed.cluster = b, c, g, cluster
+        vars(seed).update(vars(self), b=b, c=c, g=g, cluster=cluster)
         return seed
 
     def key(self):
@@ -140,8 +146,10 @@ class Seed:
 def seed_from_ice_quiver(q):
     """The initial seed of an ice quiver: arrow-count exchange matrix and
     the initial cluster x_i."""
-    if q.has_loops_or_two_cycles():
-        raise QuiverError("seeds need a loop- and 2-cycle-free quiver")
+    fault = q.loop_or_two_cycle()
+    if fault:
+        raise QuiverError(
+            f"seeds need a loop- and 2-cycle-free quiver: {fault}")
     unfrozen = q.unfrozen_vertices
     b = {(i, j): q.b_entry(i, j) for i in q.vertices for j in unfrozen}
     cluster = {j: LaurentPoly.var(j) for j in unfrozen}
@@ -150,7 +158,7 @@ def seed_from_ice_quiver(q):
 
 def mutate(seed, k, variables=None):
     """Fomin-Zelevinsky mutation at the unfrozen vertex k, of the exchange
-    matrix, the C-matrix, the g-vectors and the cluster.
+    matrix, the C-matrix, the g-vectors (`_mutated_g`) and the cluster.
 
     `variables`, if given, maps the g-vectors that the mutations of one
     search have met to their cluster variables.  The exchange runs only
@@ -162,28 +170,32 @@ def mutate(seed, k, variables=None):
     b, column = _mutated_rows(seed.b, seed.vertices, k, row)
     for j, bkj in row:
         b[k, j] = -bkj
-    c, c_column = _mutated_rows(seed.c, seed.unfrozen, k, row)
-    g = dict(seed.g)
-    new_g = [-e for e in g[k]]
-    for i, bik in column:
-        if bik > 0 and i in g:
-            new_g = [e + bik * f for e, f in zip(new_g, g[i])]
-    for j, cjk in c_column:
-        if cjk > 0:
-            new_g = [e - cjk * f
-                     for e, f in zip(new_g, seed.initial_columns[j])]
-    g[k] = new_g = tuple(new_g)
-    new = None if variables is None else variables.get(new_g)
+    c, _column = _mutated_rows(seed.c, seed.unfrozen, k, row)
+    new_g = _mutated_g(seed, k)
+    variables = {} if variables is None else variables
+    new = variables.get(new_g)
     if new is None:
         values = seed.cluster
-        new = _exchange(values[k], [
+        new = variables[new_g] = _exchange(values[k], [
             (values[i] if i in values else seed.frozen_variables[i], bik)
             for i, bik in column])
-        if variables is not None:
-            variables[new_g] = new
-    cluster = dict(seed.cluster)
-    cluster[k] = new
-    return seed._mutated(b, c, g, cluster)
+    return seed._mutated(b, c, {**seed.g, k: new_g},
+                         {**seed.cluster, k: new})
+
+
+def _mutated_g(seed, k):
+    """The g-vector g'_k that mutating seed at k gives vertex k, from
+    seed's own matrices by FZ IV (6.13): -g_k + sum_i [b_ik]_+ g_i -
+    sum_j [c_jk]_+ b0_j (see the module docstring)."""
+    new_g = [-e for e in seed.g[k]]
+    for i in seed.unfrozen:
+        bik, cik = seed.b[i, k], seed.c[i, k]
+        if bik > 0:
+            new_g = [e + bik * f for e, f in zip(new_g, seed.g[i])]
+        if cik > 0:
+            new_g = [e - cik * f
+                     for e, f in zip(new_g, seed.initial_columns[i])]
+    return tuple(new_g)
 
 
 def _mutated_rows(m, rows, k, row):
@@ -236,39 +248,26 @@ def _reachable_variables(seed, max_depth):
     commutes with a permutation of the unfrozen labels, so the seeds a
     relabelled copy reaches within d more mutations are relabelled copies
     of those the first visit reaches, with the same cluster variables.
-
-    It also crosses each edge of the exchange graph once.  `crossed` maps
-    the key of each seen seed t to the g-vectors at which mutating t is
-    known to lead to a seen seed.  If mutate(s, k) is t relabelled by
-    sigma, then mutating t at sigma(k), the vertex that carries
-    mutate(s, k).g[k], gives s relabelled by sigma, because mutation is an
-    involution and commutes with relabelling; so that g-vector joins t's
-    record, and t is never mutated there.  The record holds g-vectors, not
-    labels, because sigma is not known; a seed's g-vectors are distinct,
-    so one names one vertex.  A new seed's record starts with the g-vector
-    of the edge it came by.
+    The key of a neighbour is the current key with g_k replaced by g'_k
+    (`_mutated_g`), so `mutate` runs once per new seed.
 
     `variables` maps each g-vector met to its cluster variable, so the
     Laurent exchange runs once per new g-vector, not once per mutation."""
     yield from seed.cluster.values()
     variables = {seed.g[j]: seed.cluster[j] for j in seed.unfrozen}
-    record = set()
-    crossed = {seed.key(): record}
-    frontier = [(seed, record)]
+    seen = {seed.key()}
+    frontier = [seed]
     for _ in range(max_depth):
         next_frontier = []
-        for current, skip in frontier:
+        for current in frontier:
+            key = current.key()
             for k in current.unfrozen:
-                if current.g[k] in skip:
-                    continue
-                mutated = mutate(current, k, variables)
-                key = mutated.key()
-                record = crossed.get(key)
-                if record is None:
-                    record = crossed[key] = set()
-                    next_frontier.append((mutated, record))
+                new_key = key - {current.g[k]} | {_mutated_g(current, k)}
+                if new_key not in seen:
+                    seen.add(new_key)
+                    mutated = mutate(current, k, variables)
+                    next_frontier.append(mutated)
                     yield mutated.cluster[k]
-                record.add(mutated.g[k])
         frontier = next_frontier
         if not frontier:
             break

@@ -118,14 +118,22 @@ class BoundIceQuiver:
         return tuple(v for v in self.vertices if v not in self.frozen)
 
     def has_loops_or_two_cycles(self):
-        pairs = set()
+        return self.loop_or_two_cycle() is not None
+
+    def loop_or_two_cycle(self):
+        """The first loop or 2-cycle in the order the arrows are declared,
+        as text ("arrow 'a' is a loop at '1'", "arrows 'a' and 'b' form a
+        2-cycle between '1' and '2'"), or None if there is none."""
+        firsts = {}
         for arrow in self.arrows.values():
-            if arrow.source == arrow.target:
-                return True
-            if (arrow.target, arrow.source) in pairs:
-                return True
-            pairs.add((arrow.source, arrow.target))
-        return False
+            s, t = arrow.source, arrow.target
+            if s == t:
+                return f"arrow {arrow.name!r} is a loop at {s!r}"
+            if (t, s) in firsts:
+                return (f"arrows {firsts[t, s].name!r} and {arrow.name!r} "
+                        f"form a 2-cycle between {t!r} and {s!r}")
+            firsts.setdefault((s, t), arrow)
+        return None
 
     def is_acyclic(self):
         indeg = {v: 0 for v in self.vertices}

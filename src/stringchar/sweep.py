@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from .character import _character, _check_descent, _require_loop_free, \
     _weights, transfer_step
-from .formula import walk_start, walk_step
+from .formula import _step_cache, walk_start, walk_step
 from .homalg import _PositionCount, _require_finite
 from .laurent import LaurentPoly
 from .quiver import _vertex_ends, string_tree
@@ -91,6 +91,7 @@ def sweep(q, max_length):
     weight = _weights(q)
     column = _arrow_columns(q)
     positions = _PositionCount(q)
+    steps = _step_cache.setdefault(q, {})
 
     # a string's state: the walk's (l, r, l + r), the transfer state
     # (out, inn, total) and the shift
@@ -102,7 +103,7 @@ def sweep(q, max_length):
     def extend(state, c):
         walk, transfer, shift = state
         v = c.target
-        return (walk_step(q, walk, c, len(c.steps)),
+        return (walk_step(q, steps, walk, c, len(c.steps)),
                 transfer_step(transfer, c.steps[-1].forward, weight[v]),
                 shift * column[v])
 

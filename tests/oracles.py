@@ -157,30 +157,22 @@ def laurent_key(seed):
 
 
 def laurent_keyed_search(seed, max_depth):
-    """`mutation._reachable_variables` with seeds keyed by `laurent_key`
-    and crossed edges recorded by cluster values, each mutation computing
-    its exchange afresh.  Returns the variables in the order it yields
-    them and the number of mutations it makes."""
+    """`mutation._reachable_variables` as a plain breadth-first search
+    with seeds keyed by `laurent_key`: every seed it reaches is mutated at
+    every unfrozen vertex, each mutation computing its exchange afresh.
+    Returns the variables in the order it yields them."""
     found = list(seed.cluster.values())
-    mutations = 0
-    record = set()
-    crossed = {laurent_key(seed): record}
-    frontier = [(seed, record)]
+    seen = {laurent_key(seed)}
+    frontier = [seed]
     for _ in range(max_depth):
         next_frontier = []
-        for current, skip in frontier:
+        for current in frontier:
             for k in current.unfrozen:
-                if current.cluster[k] in skip:
-                    continue
-                mutations += 1
                 mutated = mutate(current, k)
-                new = mutated.cluster[k]
                 key = laurent_key(mutated)
-                record = crossed.get(key)
-                if record is None:
-                    record = crossed[key] = set()
-                    next_frontier.append((mutated, record))
-                    found.append(new)
-                record.add(new)
+                if key not in seen:
+                    seen.add(key)
+                    next_frontier.append(mutated)
+                    found.append(mutated.cluster[k])
         frontier = next_frontier
-    return found, mutations
+    return found

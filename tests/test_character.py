@@ -154,6 +154,20 @@ def test_cluster_character_rejects_two_cycles():
         cluster_character(q, Walk.parse(q, "e(1)"))
 
 
+def test_cluster_character_names_the_loop_or_two_cycle():
+    faults = {
+        "arrow 'c' is a loop at '2'":
+            [("a", "1", "2"), ("c", "2", "2"), ("b", "2", "1")],
+        "arrows 'a' and 'b' form a 2-cycle between '1' and '2'":
+            [("a", "1", "2"), ("b", "2", "1"), ("c", "2", "2")]}
+    for fault, arrows in faults.items():
+        q = BoundIceQuiver(["1", "2"], arrows)
+        with pytest.raises(QuiverError) as info:
+            cluster_character(q, Walk.parse(q, "e(1)"))
+        assert str(info.value) == "cluster characters need a loop- and " \
+            f"2-cycle-free quiver: {fault}"
+
+
 def test_main_identity_on_small_strings():
     for name in ("a2ice", "dcyclic3"):
         q = load(name)

@@ -253,7 +253,8 @@ def test_infinite_algebras_fail_fast(capsys, tmp_path):
         if command in ("character", "verify"):
             # their loops are rejected before the algebra is examined
             assert (code, err) == (1, "QuiverError: cluster characters "
-                                   "need a loop- and 2-cycle-free quiver\n")
+                                   "need a loop- and 2-cycle-free quiver: "
+                                   "arrow 'a' is a loop at '1'\n")
         else:
             assert (code, err) == (1, message.format(23)), command
 

@@ -59,9 +59,9 @@ REFUSED = {
 }
 REFUSED_LENGTHS = (0, 1, 3, 6)
 REFUSED_GOLDEN = {
-    "loop": "691637c8ea566bf50779cae2ce7c78a673912c891752ce274ff0f008397533c7",
+    "loop": "129a31c102e76bdc8ef459ab7152e7c9d18cbe1fe4ed88159b8eada6d2268730",
     "two-cycle":
-        "691637c8ea566bf50779cae2ce7c78a673912c891752ce274ff0f008397533c7",
+        "c1e2e9fafe1400e17682adf9beec6e9939c6f6cd6fe85970e3fd5d05b4fd98be",
     "a3rel": "fdcc1c8f8ee96a69aff7aa2afd947a72564a85a5cb6d0c1d1ee05628b33407fb",
     "cycle4mixed":
         "0c23fe1fb18b43ad39afa3a7e32eb7a7619fee44460614e079aa63cd2c464ee4",

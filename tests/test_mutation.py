@@ -81,6 +81,38 @@ def test_seed_refuses_two_equal_cluster_variables():
         Seed(vertices, unfrozen, b, cluster)
 
 
+@pytest.mark.parametrize("entry", [1.0, 0.5, "1"])
+def test_seed_refuses_an_exchange_matrix_entry_that_is_not_an_int(entry):
+    vertices, unfrozen, b, cluster = _a2ice_seed_input()
+    b["3", "2"] = entry
+    with pytest.raises(QuiverError) as info:
+        Seed(vertices, unfrozen, b, cluster)
+    assert str(info.value) == \
+        f"exchange matrix entry ('3', '2') is not an int: {entry!r}"
+
+
+def test_seed_refuses_a_cluster_value_that_is_not_a_laurent_polynomial():
+    vertices, unfrozen, b, cluster = _a2ice_seed_input()
+    cluster["2"] = 5
+    with pytest.raises(QuiverError, match="variable for '2' is not a "
+                       "Laurent polynomial: 5"):
+        Seed(vertices, unfrozen, b, cluster)
+
+
+def test_seed_from_ice_quiver_names_the_loop_or_two_cycle():
+    from stringchar import BoundIceQuiver
+    faults = {
+        "arrow 'c' is a loop at '2'":
+            [("a", "1", "2"), ("c", "2", "2"), ("b", "2", "1")],
+        "arrows 'a' and 'b' form a 2-cycle between '1' and '2'":
+            [("a", "1", "2"), ("b", "2", "1"), ("c", "2", "2")]}
+    for fault, arrows in faults.items():
+        with pytest.raises(QuiverError) as info:
+            seed_from_ice_quiver(BoundIceQuiver(["1", "2"], arrows))
+        assert str(info.value) == \
+            f"seeds need a loop- and 2-cycle-free quiver: {fault}"
+
+
 def test_single_exchange():
     seed = seed_from_ice_quiver(load("a2"))
     mutated = mutate(seed, "1")
@@ -158,10 +190,10 @@ def test_match_stops_at_the_first_seed_that_holds_the_character(
     f = mutate(seed, seed.unfrozen[0]).cluster[seed.unfrozen[0]]
     calls = _counting_mutate(monkeypatch)
     assert match_character(seed, f, 10)
-    # the search's first mutation reaches f; the full search makes 84
+    # the search's first mutation reaches f; the full search makes 41
     assert len(calls) == 1
     enumerate_cluster_variables(seed, 10)
-    assert len(calls) == 1 + 84
+    assert len(calls) == 1 + 41
 
 
 def test_match_character():
@@ -313,37 +345,12 @@ def test_enumeration_skips_the_vertex_each_seed_came_from(monkeypatch):
     # gives back its parent, so each mutated non-root seed saves one call
     assert mutated_non_root > 0
     assert plain_calls - len(calls) >= mutated_non_root
-    # each of the 84 edges between the 42 seeds of type A4 is crossed once
-    # up to relabelling, where the labelled search makes 3,260 mutations
-    assert len(calls) == 84
+    # each of the 42 seeds of type A4 but the first is built once up to
+    # relabelling, where the labelled search makes 3,260 mutations
+    assert len(calls) == 41
 
 
-def _exchange_graph_edge_counts(seed, max_depth):
-    """For d = 0..max_depth, the number of edges {key(s), key(mutate(s, k))}
-    of the exchange graph up to relabelling over the seeds s within d - 1
-    mutations of seed, with seeds named by their Laurent clusters
-    (`laurent_key`): a plain breadth-first search over keys that mutates
-    every seed it reaches at every unfrozen vertex."""
-    seen = {laurent_key(seed)}
-    edges = set()
-    counts = [0]
-    frontier = [seed]
-    for _ in range(max_depth):
-        next_frontier = []
-        for current in frontier:
-            for k in current.unfrozen:
-                mutated = mutate(current, k)
-                key = laurent_key(mutated)
-                edges.add(frozenset((laurent_key(current), key)))
-                if key not in seen:
-                    seen.add(key)
-                    next_frontier.append(mutated)
-        frontier = next_frontier
-        counts.append(len(edges))
-    return counts
-
-
-def test_enumeration_crosses_each_edge_of_the_exchange_graph_once(
+def test_enumeration_builds_each_seed_of_the_exchange_graph_once(
         monkeypatch):
     cases = []
     for path in sorted(FIXTURES.glob("*.quiver")):
@@ -351,15 +358,18 @@ def test_enumeration_crosses_each_edge_of_the_exchange_graph_once(
             seed = seed_from_ice_quiver(load(path.stem))
         except QuiverError:
             continue
-        counts = _exchange_graph_edge_counts(seed, 3)
-        cases += [(path.stem, seed, depth, edges)
-                  for depth, edges in enumerate(counts)]
+        # the oracle yields the initial cluster, then one variable per
+        # new seed
+        cases += [(path.stem, seed, depth,
+                   len(laurent_keyed_search(seed, depth))
+                   - len(seed.unfrozen) + 1)
+                  for depth in range(4)]
     assert len(cases) >= 40
     calls = _counting_mutate(monkeypatch)
-    for name, seed, depth, edges in cases:
+    for name, seed, depth, seeds in cases:
         calls.clear()
         enumerate_cluster_variables(seed, depth)
-        assert len(calls) == edges, (name, depth)
+        assert len(calls) == seeds - 1, (name, depth)
 
 
 @pytest.mark.parametrize("name, variables, seeds", [
@@ -367,12 +377,12 @@ def test_enumeration_crosses_each_edge_of_the_exchange_graph_once(
     ("dcyclic5", 25, 182)])
 def test_a_finite_exchange_graph_is_searched_with_one_mutation_per_edge(
         monkeypatch, name, variables, seeds):
-    # the exchange graph of a finite type of rank n is n-regular, so it has
-    # n * seeds / 2 edges; the search runs out of seeds before depth 10
+    # the search builds each seed of the finite exchange graph but the
+    # first once, and runs out of seeds before depth 10
     seed = seed_from_ice_quiver(load(name))
     calls = _counting_mutate(monkeypatch)
     assert len(enumerate_cluster_variables(seed, 10)) == variables
-    assert len(calls) == len(seed.unfrozen) * seeds // 2
+    assert len(calls) == seeds - 1
 
 
 def test_enumeration_up_to_relabelling_matches_the_labelled_search():
@@ -532,8 +542,9 @@ def test_g_vector_search_matches_the_laurent_keyed_search(monkeypatch):
     expected = [laurent_keyed_search(seed, depth)
                 for _name, seed, depth in cases]
     calls = _counting_mutate(monkeypatch)
-    for (name, seed, depth), (found, mutations) in zip(cases, expected):
+    for (name, seed, depth), found in zip(cases, expected):
         calls.clear()
         assert list(_reachable_variables(seed, depth)) == found, \
             (name, depth)
-        assert len(calls) == mutations, (name, depth)
+        # one mutation per new seed, which yields one variable
+        assert len(calls) == len(found) - len(seed.unfrozen), (name, depth)

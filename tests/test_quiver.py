@@ -101,10 +101,14 @@ def test_quiver_predicates():
     assert q.b_entry("3", "1") == 1
     assert q.b_entry("3", "2") == -1
     assert load("a3").is_acyclic()
+    assert q.loop_or_two_cycle() is None
     loop = BoundIceQuiver(["1"], [("a", "1", "1")])
     assert loop.has_loops_or_two_cycles()
+    assert loop.loop_or_two_cycle() == "arrow 'a' is a loop at '1'"
     two_cycle = BoundIceQuiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
     assert two_cycle.has_loops_or_two_cycles()
+    assert two_cycle.loop_or_two_cycle() == \
+        "arrows 'a' and 'b' form a 2-cycle between '1' and '2'"
 
 
 def test_full_subquiver_and_unfrozen_part():

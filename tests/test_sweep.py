@@ -54,12 +54,13 @@ def test_the_walk_product_is_the_transfer_product_termwise():
     for name in sorted(LENGTHS):
         q = load(name)
         weight = _weights(q)
+        steps = {}
         for c in enumerate_strings(q, 6, unfrozen_only=True):
             state = walk_start(q, c.source)
             w = weight[c.source]
             transfer = 1, w, 1 + w
             for i, step in enumerate(c.steps, 1):
-                state = walk_step(q, state, c, i)
+                state = walk_step(q, steps, state, c, i)
                 transfer = transfer_step(transfer, step.forward,
                                          weight[c.vertices[i]])
             shift = LaurentPoly.monomial(1, _string_pass(q, c).arrow_sums(q))
