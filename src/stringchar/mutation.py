@@ -6,28 +6,37 @@ exchange matrix and its cluster, the tropical data of its cluster against
 an initial seed t0 -- the seed the family was built from, whose cluster
 must be a cluster: its C-matrix, the n principal coefficient rows that
 mutate by the same rule as the frozen rows, and one g-vector per unfrozen
-vertex, which mutate at k by Fomin-Zelevinsky, Cluster algebras IV (2007),
-(6.13):
+vertex.  The g-vectors mutate at k by Fomin-Zelevinsky, Cluster algebras
+IV (2007), (6.13):
 
     g'_k = -g_k + sum_i [b_ik]_+ g_i - sum_j [c_jk]_+ b0_j,
     g'_l = g_l for l != k,
 
 with i over the unfrozen vertices, j over those of t0, b0_j the column j
-of t0's exchange matrix and [x]_+ = max(x, 0).  On a quiver a g-vector
-determines its cluster variable, and distinct cluster variables have
-distinct g-vectors (Derksen-Weyman-Zelevinsky, Quivers with potentials
-and their representations II, 2010).  The g-vectors of a seed also fix
-its C-matrix, by the G/C duality G^T C = I of Nakanishi-Zelevinsky (2012),
-and then its unfrozen exchange matrix, by G B = B0 C (FZ IV, (6.14)).  So
-the set of g-vectors names a seed with principal coefficients up to a
-permutation of its unfrozen labels (`Seed.key`), and as the exchange graph
-does not depend on the coefficients (FZ IV, Conjecture 4.3, proved for
-skew-symmetrizable matrices by Cao-Li, 2020), it names the same seed as
-the Laurent cluster does, whatever the frozen rows.  As (6.13) reads
-only the seed before the mutation, the search knows each neighbour's key
-before it builds the neighbour, and builds only the seeds it has not
-seen.  A Laurent exchange runs once per cluster variable: a g-vector seen
-before gives back its polynomial."""
+of t0's exchange matrix and [x]_+ = max(x, 0).  The column c_k of the
+C-matrix is nonzero and sign-coherent: its nonzero entries share one
+sign eps_k (Derksen-Weyman-Zelevinsky, Quivers with potentials and their
+representations II, 2010).  So the step needs only eps_k:
+
+    if c_k >= 0, G B = B0 C (FZ IV, (6.14)) gives sum_j c_jk b0_j =
+    sum_i b_ik g_i, and g'_k = -g_k + sum_i [-b_ik]_+ g_i;
+    if c_k <= 0, the last sum is 0, and g'_k = -g_k + sum_i [b_ik]_+ g_i;
+
+in one line, g'_k = -g_k + sum_i [-eps_k b_ik]_+ g_i (`_mutated_g`).
+
+On a quiver a g-vector determines its cluster variable, and distinct
+cluster variables have distinct g-vectors (DWZ 2010).  The g-vectors of a
+seed also fix its C-matrix, by the G/C duality G^T C = I of
+Nakanishi-Zelevinsky (2012), and then its unfrozen exchange matrix, by
+(6.14).  So the set of g-vectors names a seed with principal coefficients
+up to a permutation of its unfrozen labels (`Seed.key`), and as the
+exchange graph does not depend on the coefficients (FZ IV, Conjecture
+4.3, proved for skew-symmetrizable matrices by Cao-Li, 2020), it names
+the same seed as the Laurent cluster does, whatever the frozen rows.  As
+g'_k reads only the seed before the mutation, the search knows each
+neighbour's key before it builds the neighbour, and builds only the seeds
+it has not seen.  A Laurent exchange runs once per cluster variable: a
+g-vector seen before gives back its polynomial."""
 
 from __future__ import annotations
 
@@ -42,18 +51,24 @@ class Seed:
     """An extended exchange matrix of ints (rows: all vertices, columns:
     unfrozen vertices) together with a cluster of Laurent polynomials in
     the initial variables.  The frozen vertices keep their initial
-    variables, which a seed shares with the seeds mutated from it.
+    variables x_i, which no seed stores: an exchange builds those it
+    needs.
 
     A seed built here is its own initial seed t0, and its cluster must be
     a cluster: its C-matrix `c` (rows: the unfrozen vertices of t0,
     which are the seed's own unfrozen labels, as mutation keeps them;
     columns: the unfrozen vertices) is the identity and its g-vector `g[j]`
-    is the unit vector of j.  Mutation carries both, and `initial_columns`, the
-    columns of t0's unfrozen exchange matrix in g-vector coordinates."""
+    is the unit vector of j.  Mutation carries both; nothing else of t0
+    is kept, as the g-vector step reads only the sign of a column of `c`
+    (see the module docstring)."""
 
     def __init__(self, vertices, unfrozen, b, cluster):
         self.vertices = tuple(vertices)
         self.unfrozen = tuple(unfrozen)
+        for ids in (self.vertices, self.unfrozen):
+            repeated = [v for n, v in enumerate(ids) if v in ids[:n]]
+            if repeated:
+                raise QuiverError(f"duplicate vertex id {repeated[0]!r}")
         for j in self.unfrozen:
             if j not in self.vertices:
                 raise QuiverError(f"unfrozen vertex {j!r} is not a vertex")
@@ -93,20 +108,14 @@ class Seed:
                     raise QuiverError(
                         "the unfrozen part of the exchange matrix must be "
                         "skew-symmetric")
-        self.frozen_variables = {i: LaurentPoly.var(i)
-                                 for i in self.vertices
-                                 if i not in self.cluster}
         self.c = {(i, j): int(i == j) for i in self.unfrozen
                   for j in self.unfrozen}
         self.g = {j: tuple(int(i == j) for i in self.unfrozen)
                   for j in self.unfrozen}
-        self.initial_columns = {j: tuple(self.b[i, j] for i in self.unfrozen)
-                                for j in self.unfrozen}
 
     def _mutated(self, b, c, g, cluster):
-        """A seed with the same vertices, frozen variables and initial
-        seed; mutation keeps the unfrozen part skew-symmetric, so it is not
-        checked.
+        """A seed with the same vertices and initial seed; mutation keeps
+        the unfrozen part skew-symmetric, so it is not checked.
 
         `mutate` builds seeds here rather than through `__init__`, whose
         copy of b and checks would be repeated for each of the 41 mutations
@@ -159,6 +168,7 @@ def seed_from_ice_quiver(q):
 def mutate(seed, k, variables=None):
     """Fomin-Zelevinsky mutation at the unfrozen vertex k, of the exchange
     matrix, the C-matrix, the g-vectors (`_mutated_g`) and the cluster.
+    The exchange takes x_i for each frozen row i of column k.
 
     `variables`, if given, maps the g-vectors that the mutations of one
     search have met to their cluster variables.  The exchange runs only
@@ -175,26 +185,28 @@ def mutate(seed, k, variables=None):
     variables = {} if variables is None else variables
     new = variables.get(new_g)
     if new is None:
-        values = seed.cluster
-        new = variables[new_g] = _exchange(values[k], [
-            (values[i] if i in values else seed.frozen_variables[i], bik)
-            for i, bik in column])
+        new = variables[new_g] = _exchange(seed.cluster[k], [
+            (seed.cluster[i] if i in seed.cluster else LaurentPoly.var(i),
+             bik) for i, bik in column])
     return seed._mutated(b, c, {**seed.g, k: new_g},
                          {**seed.cluster, k: new})
 
 
 def _mutated_g(seed, k):
     """The g-vector g'_k that mutating seed at k gives vertex k, from
-    seed's own matrices by FZ IV (6.13): -g_k + sum_i [b_ik]_+ g_i -
-    sum_j [c_jk]_+ b0_j (see the module docstring)."""
+    seed's own g-vectors, column k of its exchange matrix and the sign
+    eps_k of the first nonzero entry of column k of its C-matrix:
+    -g_k + sum_i [-eps_k b_ik]_+ g_i (FZ IV (6.13) in the form the module
+    docstring derives)."""
+    for i in seed.unfrozen:
+        if seed.c[i, k]:
+            minus_eps = -1 if seed.c[i, k] > 0 else 1
+            break
     new_g = [-e for e in seed.g[k]]
     for i in seed.unfrozen:
-        bik, cik = seed.b[i, k], seed.c[i, k]
+        bik = minus_eps * seed.b[i, k]
         if bik > 0:
             new_g = [e + bik * f for e, f in zip(new_g, seed.g[i])]
-        if cik > 0:
-            new_g = [e - cik * f
-                     for e, f in zip(new_g, seed.initial_columns[i])]
     return tuple(new_g)
 
 

@@ -81,6 +81,19 @@ def test_seed_refuses_two_equal_cluster_variables():
         Seed(vertices, unfrozen, b, cluster)
 
 
+def test_seed_refuses_a_repeated_vertex_id():
+    seed = seed_from_ice_quiver(load("a2"))
+    b, cluster = dict(seed.b), dict(seed.cluster)
+    # taken, vertex 1 would get the g-vector (1, 1, 0) and A2 six variables
+    with pytest.raises(QuiverError) as info:
+        Seed(["1", "2"], ["1", "1", "2"], b, cluster)
+    assert str(info.value) == "duplicate vertex id '1'"
+    # taken, the exchange at 1 would count row 2 twice
+    with pytest.raises(QuiverError) as info:
+        Seed(["1", "2", "2"], ["1", "2"], b, cluster)
+    assert str(info.value) == "duplicate vertex id '2'"
+
+
 @pytest.mark.parametrize("entry", [1.0, 0.5, "1"])
 def test_seed_refuses_an_exchange_matrix_entry_that_is_not_an_int(entry):
     vertices, unfrozen, b, cluster = _a2ice_seed_input()
@@ -375,7 +388,7 @@ def test_enumeration_builds_each_seed_of_the_exchange_graph_once(
 @pytest.mark.parametrize("name, variables, seeds", [
     ("a3dec", 9, 14), ("a4dec", 14, 42), ("dcyclic4", 16, 50),
     ("dcyclic5", 25, 182)])
-def test_a_finite_exchange_graph_is_searched_with_one_mutation_per_edge(
+def test_a_finite_exchange_graph_is_searched_with_one_mutation_per_new_seed(
         monkeypatch, name, variables, seeds):
     # the search builds each seed of the finite exchange graph but the
     # first once, and runs out of seeds before depth 10
@@ -413,7 +426,6 @@ def _relabelled(seed, sigma):
     relabelled = Seed(seed.vertices, seed.unfrozen, b, cluster)
     relabelled.c = {(i, name[j]): cij for (i, j), cij in seed.c.items()}
     relabelled.g = {name[j]: g for j, g in seed.g.items()}
-    relabelled.initial_columns = seed.initial_columns
     return relabelled
 
 
@@ -480,7 +492,9 @@ def test_g_vectors_are_the_degrees_of_principal_coefficient_variables():
     # with principal coefficients a cluster variable is homogeneous for
     # deg x_i = e_i, deg y_j = -b0_j, of degree its g-vector (FZ IV,
     # Proposition 6.1); its C-matrix is the exponent matrix of the frozen
-    # rows; and G^T C = I, G B = B0 C (Nakanishi-Zelevinsky 2012)
+    # rows, and its columns are nonzero and sign-coherent (DWZ 2010);
+    # G^T C = I, G B = B0 C (Nakanishi-Zelevinsky 2012); and _mutated_g
+    # gives what FZ IV (6.13) gives
     checked = 0
     for name, depth in (("a4dec", 4), ("dcyclic5", 3), ("kronecker3", 5),
                         ("doublearrow4", 3), ("diamond5", 3)):
@@ -490,8 +504,6 @@ def test_g_vectors_are_the_degrees_of_principal_coefficient_variables():
         for seed in _labelled_seeds(start, depth):
             unfrozen = seed.unfrozen
             for j in unfrozen:
-                assert seed.initial_columns[j] == \
-                    tuple(b0[i, j] for i in initial)
                 for i in initial:
                     assert seed.c[i, j] == seed.b[f"{i}'", j]
                 for exponents, _coeff in seed.cluster[j].monomials():
@@ -502,6 +514,17 @@ def test_g_vectors_are_the_degrees_of_principal_coefficient_variables():
                                 b0[i, s]
                     assert tuple(degree) == seed.g[j], (name, j)
             for k in unfrozen:
+                column = [seed.c[i, k] for i in initial]
+                assert any(column), (name, k)
+                assert min(column) >= 0 or max(column) <= 0, (name, k)
+                expected = [
+                    -seed.g[k][r]
+                    + sum(max(seed.b[i, k], 0) * seed.g[i][r]
+                          for i in unfrozen)
+                    - sum(max(seed.c[j, k], 0) * b0[u, j] for j in initial)
+                    for r, u in enumerate(initial)]
+                assert mutation._mutated_g(seed, k) == tuple(expected), \
+                    (name, k)
                 for j in unfrozen:
                     assert sum(seed.g[j][r] * seed.c[i, k]
                                for r, i in enumerate(initial)) == \
