@@ -388,7 +388,7 @@ def test_enumeration_builds_each_seed_of_the_exchange_graph_once(
 @pytest.mark.parametrize("name, variables, seeds", [
     ("a3dec", 9, 14), ("a4dec", 14, 42), ("dcyclic4", 16, 50),
     ("dcyclic5", 25, 182)])
-def test_a_finite_exchange_graph_is_searched_with_one_mutation_per_new_seed(
+def test_a_finite_exchange_graph_is_searched_with_one_mutate_per_new_seed(
         monkeypatch, name, variables, seeds):
     # the search builds each seed of the finite exchange graph but the
     # first once, and runs out of seeds before depth 10
