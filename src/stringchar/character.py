@@ -115,7 +115,8 @@ def _weights(q):
     weight = {}
     for j in q.vertices:
         out, into = _vertex_ends(q, j)
-        out.subtract(into)
+        for i, e in into.items():
+            out[i] = out.get(i, 0) - e
         weight[j] = LaurentPoly.monomial(1, out)
     return weight
 

@@ -104,7 +104,7 @@ def _step_monomials(q, step, repeats):
 
 def _shifted(exps, v, e):
     """The monomial x^exps x_v^e."""
-    return LaurentPoly.monomial(1, {**exps, v: exps[v] + e})
+    return LaurentPoly.monomial(1, {**exps, v: exps.get(v, 0) + e})
 
 
 def walk_step(q, steps, state, c, i):

@@ -17,36 +17,68 @@ _finite = weakref.WeakSet()
 
 def _require_finite(q):
     """Raise PathLimitExceeded unless the path algebra of q is finite
-    dimensional; the verdict is kept per quiver.
+    dimensional, naming the first vertex in declaration order from which
+    a path of length `bound` avoids every relation; the verdict is kept
+    per quiver.
 
-    A relation-avoiding path is in one of fewer than `bound` states of the
-    relation-matching automaton (its end vertex and the longest proper
-    relation prefix it ends in), so one of length `bound` can be pumped
-    forever.  Its extensions depend on its state alone, so the states and
-    start vertices, not the paths, are grown for `bound` rounds."""
+    A relation-avoiding path is read by the relation-matching automaton,
+    whose state is the path's end vertex and the longest suffix of the
+    path that is a proper prefix of a relation.  Whether an arrow
+    completes a relation, and the state after it, depend on the state
+    alone.  An empty suffix gives one state per vertex, and a nonempty one
+    fixes the end vertex, so there are at most len(q.vertices) +
+    sum(len(r) - 1) states, fewer than `bound` when q has a relation and
+    `bound` when it has none.  A relation-avoiding path of length `bound`
+    from v passes through `bound` + 1 states from (v, ()), so one of them
+    twice: it exists exactly when a cycle of the automaton is reachable
+    from (v, ()), and then paths of every length do.  A depth-first
+    search over the states decides that, keeping for each state whether
+    it reaches a cycle."""
     if q in _finite:
         return
     bound = len(q.vertices) + sum(len(r) for r in q.relations)
     prefixes = {rel[:k] for rel in q.relations for k in range(1, len(rel))}
-    frontier = {(v, v, ()) for v in q.vertices}
-    for _length in range(bound):
-        grown = set()
-        for start, end, tail in frontier:
-            for arrow in q.arrows_from(end):
-                longer = tail + (arrow.name,)
-                if any(longer[-len(rel):] == rel for rel in q.relations):
-                    continue
-                # its longest suffix that is a proper relation prefix
-                grown.add((start, arrow.target,
-                           next((longer[k:] for k in range(len(longer))
-                                 if longer[k:] in prefixes), ())))
-        frontier = grown
-    if frontier:
-        starts = {start for start, _end, _tail in frontier}
-        start = next(v for v in q.vertices if v in starts)
-        raise PathLimitExceeded(
-            f"a path of length {bound} from vertex {start!r} avoids every "
-            "relation, so the algebra is infinite dimensional")
+    ending = {}    # arrow name -> the relations that end with it
+    for rel in q.relations:
+        ending.setdefault(rel[-1], []).append(rel)
+
+    def successors(state):
+        end, tail = state
+        for arrow in q.arrows_from(end):
+            longer = tail + (arrow.name,)
+            if any(longer[-len(rel):] == rel
+                   for rel in ending.get(arrow.name, ())):
+                continue
+            # its longest suffix that is a proper relation prefix
+            yield arrow.target, next((longer[k:] for k in range(len(longer))
+                                      if longer[k:] in prefixes), ())
+
+    # state -> whether it reaches a cycle; None while it is on the path of
+    # states, each with its successors not yet read, that the search is on
+    reaches = {}
+    for v in q.vertices:
+        start = v, ()
+        if start not in reaches:
+            reaches[start] = None
+            path = [(start, successors(start))]
+            while path:
+                state, ahead = path[-1]
+                onward = next(ahead, None)
+                if onward is None:
+                    reaches[state] = False
+                    path.pop()
+                elif onward not in reaches:
+                    reaches[onward] = None
+                    path.append((onward, successors(onward)))
+                elif reaches[onward] is not False:
+                    # on the path, so a cycle, or known to reach one
+                    for on_path, _ahead in path:
+                        reaches[on_path] = True
+                    break
+        if reaches[start]:
+            raise PathLimitExceeded(
+                f"a path of length {bound} from vertex {v!r} avoids every "
+                "relation, so the algebra is infinite dimensional")
     _finite.add(q)
 
 

@@ -194,6 +194,12 @@ class LaurentPoly:
             return cls.zero()
         return cls({key: coeff}, bound)
 
+    @classmethod
+    def _of_key(cls, key, bound):
+        """The monomial x^key of a key that `_pack` returned, or of a sum
+        of such keys, with a bound on its exponents."""
+        return cls({key: 1}, bound)
+
     # -- basic structure ---------------------------------------------------
 
     def is_zero(self):
@@ -347,6 +353,21 @@ class LaurentPoly:
         if other is None:
             return NotImplemented
         return self.terms == other.terms
+
+    def _equals_shifted(self, other, key, bound):
+        """self == other * x^key, x^key the monomial `_of_key(key, bound)`,
+        decided term by term without forming the product: the product
+        moves each key of other by key and keeps its coefficient, so no
+        two of its terms merge.  Refused as the product would be."""
+        _check_limit(other.bound + bound, "the product")
+        terms = self.terms
+        if len(terms) != len(other.terms):
+            return False
+        get = terms.get
+        for k, c in other.terms.items():
+            if get(k + key) != c:
+                return False
+        return True
 
     def __hash__(self):
         """A constant hashes as its int, which it equals."""

@@ -165,14 +165,16 @@ def seed_from_ice_quiver(q):
     return Seed(q.vertices, unfrozen, b, cluster)
 
 
-def mutate(seed, k, variables=None):
+def mutate(seed, k, variables=None, new_g=None):
     """Fomin-Zelevinsky mutation at the unfrozen vertex k, of the exchange
     matrix, the C-matrix, the g-vectors (`_mutated_g`) and the cluster.
     The exchange takes x_i for each frozen row i of column k.
 
     `variables`, if given, maps the g-vectors that the mutations of one
     search have met to their cluster variables.  The exchange runs only
-    for a g-vector it lacks, and adds it.
+    for a g-vector it lacks, and adds it.  `new_g`, if given, is
+    `_mutated_g(seed, k)`, which the search has computed to read the
+    neighbour's key.
     """
     if k not in seed.unfrozen:
         raise QuiverError(f"cannot mutate at {k!r}: not an unfrozen vertex")
@@ -181,7 +183,8 @@ def mutate(seed, k, variables=None):
     for j, bkj in row:
         b[k, j] = -bkj
     c, _column = _mutated_rows(seed.c, seed.unfrozen, k, row)
-    new_g = _mutated_g(seed, k)
+    if new_g is None:
+        new_g = _mutated_g(seed, k)
     variables = {} if variables is None else variables
     new = variables.get(new_g)
     if new is None:
@@ -261,7 +264,8 @@ def _reachable_variables(seed, max_depth):
     relabelled copy reaches within d more mutations are relabelled copies
     of those the first visit reaches, with the same cluster variables.
     The key of a neighbour is the current key with g_k replaced by g'_k
-    (`_mutated_g`), so `mutate` runs once per new seed.
+    (`_mutated_g`), so `mutate` runs once per new seed, and is handed
+    g'_k: the g-vector step runs once per edge of the search.
 
     `variables` maps each g-vector met to its cluster variable, so the
     Laurent exchange runs once per new g-vector, not once per mutation."""
@@ -274,10 +278,11 @@ def _reachable_variables(seed, max_depth):
         for current in frontier:
             key = current.key()
             for k in current.unfrozen:
-                new_key = key - {current.g[k]} | {_mutated_g(current, k)}
+                new_g = _mutated_g(current, k)
+                new_key = key - {current.g[k]} | {new_g}
                 if new_key not in seen:
                     seen.add(new_key)
-                    mutated = mutate(current, k, variables)
+                    mutated = mutate(current, k, variables, new_g)
                     next_frontier.append(mutated)
                     yield mutated.cluster[k]
         frontier = next_frontier

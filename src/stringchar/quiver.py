@@ -466,15 +466,21 @@ def _walks(steps, k, path, ahead):
 
 def _vertex_ends(q, v, excluded=()):
     """The far ends of the arrows out of v and of the arrows into v,
-    leaving out the arrows named in excluded, as two Counters.  These are
-    the exponents of every monomial at v: the top and bottom of a walk's
-    vertex matrices and steps (`formula`), the numerator and denominator
-    of the character's weight (`character._weights`) and, on the frozen
-    ends, z_v and y_v (`formula.coefficient_monomial`)."""
-    return (collections.Counter(a.target for a in q._from[v]
-                                if a.name not in excluded),
-            collections.Counter(a.source for a in q._to[v]
-                                if a.name not in excluded))
+    leaving out the arrows named in excluded, as two dicts from a vertex
+    to its number of arrows, which hold no zero.  These are the exponents
+    of every monomial at v: the top and bottom of a walk's vertex
+    matrices and steps (`formula`), the numerator and denominator of the
+    character's weight (`character._weights`), the column x^(A e_v) of
+    the sweep's shift (`sweep._arrow_columns`) and, on the frozen ends,
+    z_v and y_v (`formula.coefficient_monomial`)."""
+    out, into = {}, {}
+    for a in q._from[v]:
+        if a.name not in excluded:
+            out[a.target] = out.get(a.target, 0) + 1
+    for a in q._to[v]:
+        if a.name not in excluded:
+            into[a.source] = into.get(a.source, 0) + 1
+    return out, into
 
 
 def is_valid_string(q, c):

@@ -14,13 +14,18 @@ Enumerative Combinatorics I, 4.7).  A string carries:
   (`character.transfer_step`);
 - the shift x^(A dim M), A_ij the arrows i -> j: the product, over the
   positions of the string, of the column x^(A e_v) of A at each
-  position's label v, one monomial product a step.
+  position's label v.  It is carried as its packed key and a bound on
+  its exponents (`laurent`), so a step adds two pairs of ints; the bound
+  is checked against the exponent limit where a product of monomials
+  would check it.
 
 The walk is one side of the identity; the transfer state and the shift,
 which is derived from the string alone, are the other.  They stay
-separate recurrences, compared only at the end.  The relation counts of a
-string (`homalg._PositionCount`), from which the K0 check reads, take one
-pass over its positions, which costs no Laurent operation.
+separate recurrences, compared only at the end, term by term and
+without forming T x^S (`LaurentPoly._equals_shifted`).  The relation
+counts of a string (`homalg._PositionCount`), from which the K0 check
+reads, take one pass over its positions, which costs no Laurent
+operation.
 `walk_laurent`, `cluster_character`, `normalisation_vector` and
 `simple_pairings` compute the same values one string at a time.
 """
@@ -31,7 +36,7 @@ from .character import _character, _check_descent, _require_loop_free, \
     _weights, transfer_step
 from .formula import _step_cache, walk_start, walk_step
 from .homalg import _PositionCount, _require_finite
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _check_limit, _pack
 from .quiver import _vertex_ends, string_tree
 
 
@@ -40,20 +45,26 @@ class Swept:
     (`holds`), and the terms from which each side is formed: the transfer
     product T, with X_M = T x^-<S_.,M>, the numerator N_c, with
     L_c = N_c x^-dim M, the shift x^(A dim M), with T x^S == N_c where
-    the identity holds, and the string's `homalg._StringCounts`."""
+    the identity holds, and the string's `homalg._StringCounts`.  The
+    shift is kept as its key and bound, and built when it is read."""
 
     __slots__ = ("quiver", "string", "counts", "transfer", "numerator",
-                 "shift", "holds")
+                 "shift_key", "shift_bound", "holds")
 
-    def __init__(self, quiver, string, counts, transfer, numerator, shift,
-                 holds):
+    def __init__(self, quiver, string, counts, transfer, numerator,
+                 shift_key, shift_bound, holds):
         self.quiver = quiver
         self.string = string
         self.counts = counts
         self.transfer = transfer
         self.numerator = numerator
-        self.shift = shift
+        self.shift_key = shift_key
+        self.shift_bound = shift_bound
         self.holds = holds
+
+    @property
+    def shift(self):
+        return LaurentPoly._of_key(self.shift_key, self.shift_bound)
 
     @property
     def character(self):
@@ -66,10 +77,10 @@ class Swept:
 
 
 def _arrow_columns(q):
-    """The monomial x^(A e_j) of each vertex j, A_ij the arrows i -> j:
-    the product of x_i over the arrows i -> j."""
-    return {j: LaurentPoly.monomial(1, _vertex_ends(q, j)[1])
-            for j in q.vertices}
+    """The monomial x^(A e_j) of each vertex j, A_ij the arrows i -> j,
+    as its key and bound (`laurent._pack`): the product of x_i over the
+    arrows i -> j."""
+    return {j: _pack(_vertex_ends(q, j)[1]) for j in q.vertices}
 
 
 def sweep(q, max_length):
@@ -94,23 +105,27 @@ def sweep(q, max_length):
     steps = _step_cache.setdefault(q, {})
 
     # a string's state: the walk's (l, r, l + r), the transfer state
-    # (out, inn, total) and the shift
+    # (out, inn, total) and the shift's key and bound
     def root(c):
         v = c.source
         w = weight[v]
-        return walk_start(q, v), (1, w, 1 + w), column[v]
+        return (walk_start(q, v), (1, w, 1 + w)) + column[v]
 
     def extend(state, c):
-        walk, transfer, shift = state
+        walk, transfer, key, bound = state
         v = c.target
-        return (walk_step(q, steps, walk, c, len(c.steps)),
-                transfer_step(transfer, c.steps[-1].forward, weight[v]),
-                shift * column[v])
+        walk = walk_step(q, steps, walk, c, len(c.steps))
+        transfer = transfer_step(transfer, c.steps[-1].forward, weight[v])
+        step_key, step_bound = column[v]
+        bound += step_bound
+        _check_limit(bound, "the product")
+        return walk, transfer, key + step_key, bound
 
-    for c, (walk, transfer, shift) in string_tree(q, max_length, True,
-                                                   root, extend):
+    for c, (walk, transfer, key, bound) in string_tree(q, max_length, True,
+                                                        root, extend):
         counts = positions.count(c)
         _check_descent(q, c, counts)
         numerator = walk[2]
-        holds = transfer[2] * shift == numerator
-        yield Swept(q, c, counts, transfer[2], numerator, shift, holds)
+        transfer = transfer[2]
+        holds = numerator._equals_shifted(transfer, key, bound)
+        yield Swept(q, c, counts, transfer, numerator, key, bound, holds)

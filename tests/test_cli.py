@@ -3,12 +3,16 @@
 import argparse
 import json
 
+import pytest
+
 import stringchar.sweep
 from stringchar import BoundIceQuiver, LaurentPoly, Walk, enumerate_strings
-from stringchar.character import cluster_character
+from stringchar.character import cluster_character, transfer_step
 from stringchar.cli import main
+from stringchar.laurent import _pack
 from stringchar.mutation import enumerate_cluster_variables, \
     seed_from_ice_quiver
+from stringchar.quiver import _vertex_ends
 
 from conftest import FIXTURES, load
 
@@ -166,7 +170,8 @@ def test_verify_reports_each_failure(capsys, monkeypatch):
 
     def broken(q):
         column = columns(q)
-        column["3"] = column["3"] * LaurentPoly.var("2")
+        ends = _vertex_ends(q, "3")[1]
+        column["3"] = _pack({**ends, "2": ends["2"] + 1})
         return column
 
     monkeypatch.setattr(stringchar.sweep, "_arrow_columns", broken)
@@ -178,6 +183,27 @@ def test_verify_reports_each_failure(capsys, monkeypatch):
     assert [line for line in lines if line.startswith("FAIL ")] == failed
     assert len(lines) == len(strings) + 1
     assert lines[-1] == f"FAILED: {len(failed)} failure(s)"
+    assert code == 1
+
+
+@pytest.mark.parametrize("change", [-1, 1])
+def test_verify_fails_a_transfer_off_by_one_term(capsys, monkeypatch,
+                                                 change):
+    # take one term of the transfer product away (-1), or double its
+    # coefficient, which keeps the number of terms (1), after every step:
+    # every string but the trivial ones fails
+    def broken(state, forward, weight):
+        out, inn, total = transfer_step(state, forward, weight)
+        exps, coeff = next(total.monomials())
+        return out, inn, total + change * LaurentPoly.monomial(coeff, exps)
+
+    monkeypatch.setattr(stringchar.sweep, "transfer_step", broken)
+    code, out, _ = run(capsys, "verify", fixture("a3"), "--max-length", "3")
+    strings = enumerate_strings(load("a3"), 3)
+    failed = sum(1 for c in strings if c.length)
+    assert out.splitlines() == [
+        f"{'FAIL' if c.length else 'PASS'}  {c}" for c in strings] + [
+        f"FAILED: {failed} failure(s)"]
     assert code == 1
 
 

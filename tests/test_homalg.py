@@ -220,12 +220,32 @@ def _small_quivers_with_loops(rng, count):
         yield BoundIceQuiver(vertices, arrows, relations=relations)
 
 
+def _cycle_past_a_relation():
+    """The 2-cycle b c at 2 and 3, entered from 1 by a, with the relation
+    a b: every path from 1 stops after a, so only the later vertices 2
+    and 3 start paths of every length."""
+    return BoundIceQuiver(["1", "2", "3"],
+                          [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "2")],
+                          relations=[("a", "b")])
+
+
+def _cycle_inside_a_relation_prefix():
+    """The 2-cycle a b with the relation a b a c, c: 2 -> 3.  The paths
+    (a b)^n avoid it, but each is read with the prefix a b or a b a of
+    the relation pending, so the cycles of the relation automaton pass
+    only through states with a nonempty prefix."""
+    return BoundIceQuiver(["1", "2", "3"],
+                          [("a", "1", "2"), ("b", "2", "1"), ("c", "2", "3")],
+                          relations=[("a", "b", "a", "c")])
+
+
 def test_finiteness_check_matches_the_bounded_search():
-    # _require_finite grows the states of the relation automaton where the
-    # search grows the paths, for the same number of rounds
+    # _require_finite looks for a reachable cycle of the relation automaton
+    # where the search grows the paths for `bound` rounds
     rng = random.Random(14)
     quivers = fixture_quivers() + hand_built_quivers() + \
-        [_long_relation_cycle(), _two_cycle()] + \
+        [_long_relation_cycle(), _two_cycle(), _cycle_past_a_relation(),
+         _cycle_inside_a_relation_prefix()] + \
         list(_small_quivers_with_loops(rng, 150))
     infinite = 0
     for q in quivers:
@@ -242,6 +262,11 @@ def test_finiteness_check_matches_the_bounded_search():
             found = str(exc)
         assert found == expected, (q.arrows, q.relations)
     assert 20 < infinite < len(quivers) - 20
+    for q, start in ((_cycle_past_a_relation(), "2"),
+                     (_cycle_inside_a_relation_prefix(), "1")):
+        with pytest.raises(PathLimitExceeded,
+                           match=f"from vertex '{start}' avoids"):
+            _require_finite(q)
 
 
 def test_finiteness_verdict_lets_its_quiver_go():

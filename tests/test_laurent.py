@@ -11,7 +11,7 @@ from stringchar import ExponentOverflow, LaurentPoly, Mat2, NotDivisible, \
     NotInvertible, StringCharError, Walk
 from stringchar.character import cluster_character
 from stringchar.laurent import _FIELD_BITS, _HALF, _NAMES, EXPONENT_LIMIT, \
-    _columns, _from_fields
+    _columns, _from_fields, _pack
 
 from conftest import kronecker_string, load, run_in_fresh_interpreter
 from oracles import monomial_content
@@ -125,6 +125,37 @@ def test_single_term_product_is_the_convolution():
     for f, g in ((unread, x), (x, unread), (unread, x + 1), (x + 1, unread)):
         with pytest.raises(ExponentOverflow):
             f * g
+
+
+def test_equals_shifted_is_equality_with_the_product():
+    """f._equals_shifted(g, key, bound) == (f == g * x^key) on products,
+    on products with one term dropped, one coefficient changed or one
+    exponent moved, and on unrelated pairs; refused past the limit as
+    the product is."""
+    rng = random.Random(20261022)
+    checked = {True: 0, False: 0}
+    for _ in range(300):
+        g = random_poly(rng)
+        key, bound = _pack({f"x{i}": rng.randrange(-3, 4) for i in range(3)})
+        shift = LaurentPoly._of_key(key, bound)
+        product = g * shift
+        near = [product, random_poly(rng)]
+        for exps, coeff in list(product.monomials())[:1]:
+            term = LaurentPoly.monomial(coeff, exps)
+            moved = LaurentPoly.monomial(coeff, {**exps, "x0":
+                                                 exps.get("x0", 0) + 1})
+            near += [product - term, product + term, product - term + moved]
+        for f in near:
+            expected = f == product
+            assert f._equals_shifted(g, key, bound) == expected, (f, g, shift)
+            checked[expected] += 1
+    assert min(checked.values()) > 250
+    top = LaurentPoly.var("x", EXPONENT_LIMIT)
+    key, bound = _pack({"x": 1})
+    with pytest.raises(ExponentOverflow):
+        top._equals_shifted(top, key, bound)
+    assert top._equals_shifted(LaurentPoly.var("x", EXPONENT_LIMIT - 1),
+                               key, bound)
 
 
 def test_ring_axioms_randomised():

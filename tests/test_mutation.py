@@ -363,6 +363,28 @@ def test_enumeration_skips_the_vertex_each_seed_came_from(monkeypatch):
     assert len(calls) == 41
 
 
+def test_the_g_vector_step_runs_once_per_edge(monkeypatch):
+    # the search reads g'_k once for each seed it expands and each
+    # unfrozen vertex k, and hands it to mutate; the finite exchange
+    # graphs of types A3 and A4 are searched out before depth 10
+    steps = []
+    g_vector_step = mutation._mutated_g
+
+    def counting_mutated_g(seed, k):
+        steps.append(k)
+        return g_vector_step(seed, k)
+
+    monkeypatch.setattr(mutation, "_mutated_g", counting_mutated_g)
+    calls = _counting_mutate(monkeypatch)
+    for name, unfrozen, seeds in (("a3dec", 3, 14), ("a4dec", 4, 42)):
+        steps.clear()
+        calls.clear()
+        enumerate_cluster_variables(seed_from_ice_quiver(load(name)), 10)
+        assert len(calls) == seeds - 1, name
+        assert len(steps) == unfrozen * seeds, name
+    assert len(steps) == 168
+
+
 def test_enumeration_builds_each_seed_of_the_exchange_graph_once(
         monkeypatch):
     cases = []

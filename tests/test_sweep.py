@@ -3,11 +3,15 @@ replaces in `verify`: each string's state is built from its parent's, so
 every string of a fixture is compared with the functions that read it
 from scratch."""
 
-from stringchar import LaurentPoly, cluster_character, enumerate_strings, \
-    normalisation_vector, simple_pairings, walk_laurent
+import pytest
+
+import stringchar.sweep
+from stringchar import ExponentOverflow, LaurentPoly, cluster_character, \
+    enumerate_strings, normalisation_vector, simple_pairings, walk_laurent
 from stringchar.character import _weights, transfer_step
 from stringchar.formula import walk_start, walk_step
 from stringchar.homalg import _string_pass
+from stringchar.laurent import EXPONENT_LIMIT, _pack
 from stringchar.sweep import sweep
 
 from conftest import FIXTURES, load
@@ -71,3 +75,47 @@ def test_the_walk_product_is_the_transfer_product_termwise():
             assert total == left + right, (name, c)
             checked += 1
     assert checked == 800
+
+
+def test_the_term_by_term_check_is_the_product():
+    """On every string of length at most 6 of every fixture, `holds` is
+    transfer * shift == numerator as a product of Laurent polynomials;
+    and so is the term-by-term check of one string's numerator against
+    the transfer and shift of the string swept before it."""
+    pairs = 0
+    for name in sorted(LENGTHS):
+        previous = None
+        for s in sweep(load(name), 6):
+            assert s.holds == (s.transfer * s.shift == s.numerator), \
+                (name, s.string)
+            if previous is not None:
+                assert s.numerator._equals_shifted(
+                    previous.transfer, previous.shift_key,
+                    previous.shift_bound) == \
+                    (previous.transfer * previous.shift == s.numerator), \
+                    (name, s.string)
+                pairs += 1
+            previous = s
+    assert pairs == 800 - len(LENGTHS)
+
+
+def test_the_shift_refuses_an_exponent_past_the_limit(monkeypatch):
+    # the column x^(A e_3) of a3 raised to x_2^EXPONENT_LIMIT: the strings
+    # before the first through 3 are swept, and that one is refused as
+    # the product transfer * shift would be
+    columns = stringchar.sweep._arrow_columns
+
+    def broken(q):
+        column = columns(q)
+        column["3"] = _pack({"2": EXPONENT_LIMIT})
+        return column
+
+    monkeypatch.setattr(stringchar.sweep, "_arrow_columns", broken)
+    q = load("a3")
+    strings = enumerate_strings(q, 3)
+    first = next(k for k, c in enumerate(strings) if "3" in c.vertices)
+    swept = []
+    with pytest.raises(ExponentOverflow, match="the product"):
+        for s in sweep(q, 3):
+            swept.append(s.string)
+    assert swept == strings[:first]
