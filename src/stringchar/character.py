@@ -1,17 +1,22 @@
 """Cluster characters and submodule counts of string modules, all from one
 weighted transfer product over the string diagram
-(`StringDiagram.transfer`), and the separation map.  The exponents of a submodule are pairings with the
-simples, affine in its dimension vector (Palu 2008), so the character is
-the transfer product with each label j weighted by a fixed monomial w_j,
-times one monomial.  The principal-coefficient character is the character
-over the principal extension (Fomin-Zelevinsky, Cluster algebras IV)."""
+(`StringDiagram.transfer`), and the separation map.  The exponents of a
+submodule are pairings with the simples, affine in its dimension vector
+(Palu 2008), so the character is the transfer product with each label j
+weighted by a fixed monomial w_j, times one monomial.  At Laurent weights
+the transfer state's entries are `laurent._Shifted`, each a polynomial
+times a pending monomial: a product by a monomial weight adds two pairs of
+ints, and the character's monomial x^-<S_.,M> joins the pending one
+before the one `LaurentPoly` is built.  The principal-coefficient
+character is the character over the principal extension
+(Fomin-Zelevinsky, Cluster algebras IV)."""
 
 from __future__ import annotations
 
 from .errors import K0IllDefined, NotSubtractionFree, QuiverError, \
     UnfrozenViolation
 from .homalg import _string_pass
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _Shifted
 from .quiver import _vertex_ends, ensure_string, principal_extension
 
 
@@ -32,10 +37,17 @@ class StringDiagram:
         product of weight[label(k)] over the positions k in S; the weights
         may be ints or Laurent polynomials.
 
-        A two-state product (`transfer_step`); at the first position the
-        closed subsets are the empty one and the one containing it."""
+        A two-state product (`transfer_step`) from `transfer_start` at the
+        first position; at Laurent weights its total is built into a
+        `LaurentPoly` once, at the end."""
+        total = self._total(weight)
+        return total.poly() if isinstance(total, _Shifted) else total
+
+    def _total(self, weight):
+        """The last total of the transfer product, a `laurent._Shifted` at
+        Laurent weights."""
         w = [weight[v] for v in self.labels]
-        state = 1, w[0], 1 + w[0]
+        state = transfer_start(w[0])
         for (p, q), w_next in zip(self.edges, w[1:]):
             state = transfer_step(state, p < q, w_next)
         return state[2]
@@ -47,6 +59,17 @@ class StringDiagram:
         x = {v: LaurentPoly.var(v) for v in self.labels}
         return {tuple(exps.items()): count
                 for exps, count in self.transfer(x).monomials()}
+
+
+def transfer_start(weight):
+    """The transfer state (1, w, 1 + w) of the first position, w the
+    weight of its label: the closed subsets of that position are the empty
+    one and the one containing it.  Ints at an int weight; at a Laurent
+    weight each entry is a `laurent._Shifted`, so that every product by a
+    monomial weight after it adds two pairs of ints."""
+    one = 1 if isinstance(weight, int) else _Shifted.one()
+    inn = one * weight
+    return one, inn, one + inn
 
 
 def transfer_step(state, forward, weight):
@@ -93,7 +116,7 @@ def cluster_character(q, c):
             f"the string {c} touches the frozen vertices {sorted(frozen)}")
     counts = _string_pass(q, c)
     _check_descent(q, c, counts)
-    return _character(q, counts, StringDiagram(c).transfer(_weights(q)))
+    return _character(q, counts, StringDiagram(c)._total(_weights(q)))
 
 
 def _require_loop_free(q):
@@ -133,18 +156,21 @@ def _check_descent(q, c, counts):
     # dimension class, so that is the descent we must insist on
     if counts.ahead == counts.behind:
         return
-    i = next(i for i in q.vertices if counts.ahead[i] != counts.behind[i])
+    ahead, behind = counts.ahead, counts.behind
+    i = next(i for i in q.vertices if ahead.get(i, 0) != behind.get(i, 0))
     raise K0IllDefined(
         f"the anti-symmetrised pairing with the simple at {i!r} does not "
         f"descend to the dimension vector of {c}")
 
 
 def _character(q, counts, transfer):
-    """The character from the transfer product at the `_weights` and the
-    `_StringCounts` of the string: transfer * x^-<S_.,M>."""
+    """The character from the transfer product at the `_weights`, a
+    `laurent._Shifted`, and the `_StringCounts` of the string:
+    transfer * x^-<S_.,M>, the monomial folded into the pending key before
+    the one `LaurentPoly` is built."""
     forward, _backward = counts.pairings(q)
-    return transfer * LaurentPoly.monomial(
-        1, {i: -e for i, e in forward.items()})
+    return (transfer * LaurentPoly.monomial(
+        1, {i: -e for i, e in forward.items()})).poly()
 
 
 def pp_character(q, c):

@@ -8,10 +8,15 @@ The numerator N_c of L_c is the bracket [1,1] M [1;1] of a product M of
 vertex, and its sum, so N_c is the last sum.  Each step multiplies the
 row vector by one cached monomial matrix (`walk_step`), with two products
 where two of its monomials are equal, one of them of the parent's sum,
-and three elsewhere; one sum closes the new state.  `walk_matrix` forms
-the full product and is kept as its oracle.  At weight 1 that state is
-the transfer state (inn, out, total) of the string diagram, so
-`walk_count` is the transfer product at weight 1."""
+and three elsewhere; one sum closes the new state.  The state's entries
+are `laurent._Shifted`, each a polynomial times a pending monomial, so
+each of those monomial products, at most three per step, adds two pairs
+of ints and leaves the terms as they are; only the sums touch them.
+`walk_numerator` builds the one `LaurentPoly` at the end, and
+`walk_laurent` folds x^-dim M into the pending monomial first.
+`walk_matrix` forms the full product and is kept as its oracle.  At
+weight 1 that state is the transfer state (inn, out, total) of the
+string diagram, so `walk_count` is the transfer product at weight 1."""
 
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ import weakref
 
 from .character import StringDiagram
 from .errors import QuiverError
-from .laurent import LaurentPoly, Mat2
+from .laurent import LaurentPoly, Mat2, _Shifted
 from .quiver import _vertex_ends
 
 
@@ -61,8 +66,9 @@ def walk_start(q, v):
     monomials of every arrow out of v and into v, and its sum.  The first
     step leaves its own arrow out (`walk_step`)."""
     top, bottom = _vertex_ends(q, v)
-    left = LaurentPoly.monomial(1, top)
-    right = LaurentPoly.monomial(1, bottom)
+    one = _Shifted.one()
+    left = one * LaurentPoly.monomial(1, top)
+    right = one * LaurentPoly.monomial(1, bottom)
     return left, right, left + right
 
 
@@ -143,6 +149,11 @@ def walk_numerator(q, c):
     with its sum, from `walk_start`: each step multiplies it by one
     monomial matrix (`walk_step`), and N_c is the last sum l + r.
     """
+    return _walk_sum(q, c).poly()
+
+
+def _walk_sum(q, c):
+    """N_c as the `laurent._Shifted` that the walk's last sum is."""
     state = walk_start(q, c.source)
     steps = _step_cache.setdefault(q, {})
     for i in range(1, c.length + 1):
@@ -159,10 +170,13 @@ def walk_denominator(q, c):
 
 
 def walk_laurent(q, c):
-    """L_c = N_c divided by the product of the walk-vertex variables."""
-    numerator = walk_numerator(q, c)
+    """L_c = N_c divided by the product of the walk-vertex variables, the
+    division folded into N_c's pending key before its one `LaurentPoly` is
+    built."""
+    numerator = _walk_sum(q, c)
     exps = walk_denominator(q, c)
-    return numerator * LaurentPoly.monomial(1, {v: -e for v, e in exps.items()})
+    return (numerator * LaurentPoly.monomial(
+        1, {v: -e for v, e in exps.items()})).poly()
 
 
 def walk_count(c):

@@ -335,37 +335,43 @@ class _StringCounts:
     `dims` dim M_i, and the relation counts `ahead` and `behind` of
     `simple_pairings`.  Both pairings, the normalising vector and the K0
     check are read off these three; the counts are 0 off the closure of
-    the support (`quiver.support_closure`), where n lives."""
+    the support (`quiver.support_closure`), where n lives.  Each dict holds
+    only its nonzero entries, so a count costs nothing per vertex the
+    string misses, and its readers read the others as 0."""
 
     __slots__ = ("dims", "ahead", "behind")
 
-    def __init__(self, q):
-        self.dims = dict.fromkeys(q.vertices, 0)
-        self.ahead = dict(self.dims)
-        self.behind = dict(self.dims)
+    def __init__(self):
+        self.dims = {}
+        self.ahead = {}
+        self.behind = {}
 
     def arrow_sums(self, q, into=False):
         """{i: sum_{a: i -> j} dim M_j}, the vector A dim M with A_ij the
         arrows i -> j; with into, over the arrows j -> i instead."""
-        sums = dict.fromkeys(self.dims, 0)
+        dims = self.dims
+        sums = dict.fromkeys(q.vertices, 0)
         for arrow in q.arrows.values():
             i, j = ((arrow.target, arrow.source) if into
                     else (arrow.source, arrow.target))
-            sums[i] += self.dims[j]
+            sums[i] += dims.get(j, 0)
         return sums
 
     def pairings(self, q):
         """simple_pairings: ({i: <S_i,M>}, {i: <M,S_i>})."""
         out, into = self.arrow_sums(q), self.arrow_sums(q, into=True)
-        return ({i: d - out[i] + self.ahead[i] for i, d in self.dims.items()},
-                {i: d - into[i] + self.behind[i]
-                 for i, d in self.dims.items()})
+        dims, ahead, behind = self.dims, self.ahead, self.behind
+        return ({i: dims.get(i, 0) - out[i] + ahead.get(i, 0)
+                 for i in q.vertices},
+                {i: dims.get(i, 0) - into[i] + behind.get(i, 0)
+                 for i in q.vertices})
 
     def normaliser(self, q, c):
         """normalisation_vector: ahead - l on the closure of the support,
         l_i the runs of the string c on single loops at i."""
-        closure = support_closure(q, {i for i, d in self.dims.items() if d})
-        vector = {i: self.ahead[i] for i in q.vertices if i in closure}
+        closure = support_closure(q, set(self.dims))
+        vector = {i: self.ahead.get(i, 0) for i in q.vertices
+                  if i in closure}
         previous = None
         for step in c.steps:
             arrow = q.arrow(step.arrow)
@@ -400,14 +406,14 @@ class _PositionCount:
     def count(self, c):
         """A fresh `_StringCounts` of the string c."""
         steps = c.steps
-        counts = _StringCounts(self.quiver)
+        counts = _StringCounts()
         dims, ahead, behind = counts.dims, counts.ahead, counts.behind
         for k, v in enumerate(c.vertices):
-            dims[v] += 1
+            dims[v] = dims.get(v, 0) + 1
             for source, rests in self.into[v]:
                 if any(_walks(steps, k, p, True) for p in rests):
-                    ahead[source] += 1
+                    ahead[source] = ahead.get(source, 0) + 1
             for target, rests in self.out_of[v]:
                 if any(_walks(steps, k, p, False) for p in rests):
-                    behind[target] += 1
+                    behind[target] = behind.get(target, 0) + 1
         return counts

@@ -32,6 +32,14 @@ whose result could leave the limit raises `ExponentOverflow` before it
 computes anything, instead of letting a field wrap into its neighbour.  A
 product is refused when the bounds of its factors add up past the limit,
 even if cancellation would have brought its exponents back under it.
+
+The walk and the transfer product multiply each of their states by a
+monomial at every step.  `_Shifted` carries such a state as a polynomial
+times a pending monomial, so that the product adds the monomial's key to
+the pending key and its bound to the bound, two pairs of ints, where a
+`LaurentPoly` would move every key.  A sum merges the operand with fewer
+terms into a copy of the other, each of its keys moved by the difference
+of the two pending keys.  The `LaurentPoly` is built once, at the edge.
 """
 
 from __future__ import annotations
@@ -354,21 +362,6 @@ class LaurentPoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def _equals_shifted(self, other, key, bound):
-        """self == other * x^key, x^key the monomial `_of_key(key, bound)`,
-        decided term by term without forming the product: the product
-        moves each key of other by key and keeps its coefficient, so no
-        two of its terms merge.  Refused as the product would be."""
-        _check_limit(other.bound + bound, "the product")
-        terms = self.terms
-        if len(terms) != len(other.terms):
-            return False
-        get = terms.get
-        for k, c in other.terms.items():
-            if get(k + key) != c:
-                return False
-        return True
-
     def __hash__(self):
         """A constant hashes as its int, which it equals."""
         if self._hash is None:
@@ -581,6 +574,94 @@ class LaurentPoly:
             terms[key] = terms.get(key, 0) + coeff
             bound = max(bound, key_bound if coeff else 0)
         return cls({k: c for k, c in terms.items() if c}, bound)
+
+
+class _Shifted:
+    """A Laurent polynomial times a pending monomial: the sum of
+    c x^(k + key) over the items (k, c) of `terms`.  Each step of the walk
+    and of the transfer product (`formula.walk_step`,
+    `character.transfer_step`) multiplies its states by monomials; here
+    such a product adds the monomial's key to `key` and leaves `terms` as
+    they are, where `LaurentPoly` would move every key.  `bound` is the
+    bound that `LaurentPoly`'s own `*` and `+` would give, checked against
+    EXPONENT_LIMIT at the same operation and with the same message.
+    `poly` builds the `LaurentPoly`.
+
+    A key of `terms` is an exponent vector less the pending one.  Both
+    lie within +-bound, so its fields lie within twice the limit, inside
+    a signed field, and each key still names one monomial.  Like
+    `LaurentPoly`, a value is treated as immutable, so `terms` may be
+    shared."""
+
+    __slots__ = ("terms", "key", "bound")
+
+    def __init__(self, terms, key, bound):
+        self.terms = terms
+        self.key = key
+        self.bound = bound
+
+    @classmethod
+    def one(cls):
+        return cls({0: 1}, 0, 0)
+
+    def __mul__(self, factor):
+        """self * factor, a LaurentPoly or an int.  A one-term factor
+        c x^k adds k to the key and multiplies each coefficient by c, so
+        no two terms merge and none cancels; any other is multiplied out."""
+        if not isinstance(factor, LaurentPoly):
+            factor = LaurentPoly.const(factor)
+        bound = self.bound + factor.bound
+        _check_limit(bound, "the product")
+        if len(factor.terms) != 1:
+            return _Shifted((self.poly() * factor).terms, 0, bound)
+        (key, coeff), = factor.terms.items()
+        terms = self.terms
+        if coeff != 1:
+            terms = {k: c * coeff for k, c in terms.items()}
+        return _Shifted(terms, self.key + key, bound)
+
+    def __add__(self, other):
+        """self + other, both `_Shifted`: the terms of the operand with
+        more of them are copied, and each key of the other is moved by the
+        difference of the two pending keys and merged in."""
+        if len(self.terms) < len(other.terms):
+            self, other = other, self
+        terms = dict(self.terms)
+        get = terms.get
+        move = other.key - self.key
+        for k, c in other.terms.items():
+            k += move
+            c += get(k, 0)
+            if c:
+                terms[k] = c
+            else:
+                del terms[k]
+        return _Shifted(terms, self.key, max(self.bound, other.bound))
+
+    def equals_shifted(self, other, key, bound):
+        """self == other * x^key, x^key the monomial
+        `LaurentPoly._of_key(key, bound)`, decided term by term without
+        forming the product: the product moves each key of other by key
+        and keeps its coefficient, so no two of its terms merge.  Refused
+        as the product would be."""
+        _check_limit(other.bound + bound, "the product")
+        terms = self.terms
+        if len(terms) != len(other.terms):
+            return False
+        get = terms.get
+        move = other.key + key - self.key
+        for k, c in other.terms.items():
+            if get(k + move) != c:
+                return False
+        return True
+
+    def poly(self):
+        """The `LaurentPoly` of self, with its bound."""
+        key = self.key
+        terms = self.terms
+        if key:
+            terms = {k + key: c for k, c in terms.items()}
+        return LaurentPoly(terms, self.bound)
 
 
 def _power(x, e):

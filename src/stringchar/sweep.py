@@ -19,10 +19,16 @@ Enumerative Combinatorics I, 4.7).  A string carries:
   is checked against the exponent limit where a product of monomials
   would check it.
 
+The entries of the walk and transfer states are `laurent._Shifted`, each
+a polynomial times a pending monomial.  So every product by a monomial in
+a step adds two pairs of ints too, the keys and the bounds, and only the
+sums touch the terms.
+
 The walk is one side of the identity; the transfer state and the shift,
 which is derived from the string alone, are the other.  They stay
 separate recurrences, compared only at the end, term by term and
-without forming T x^S (`LaurentPoly._equals_shifted`).  The relation
+without forming T x^S (`laurent._Shifted.equals_shifted`); a
+`LaurentPoly` is built only where a `Swept` is read.  The relation
 counts of a string (`homalg._PositionCount`), from which the K0 check
 reads, take one pass over its positions, which costs no Laurent
 operation.
@@ -33,7 +39,7 @@ operation.
 from __future__ import annotations
 
 from .character import _character, _check_descent, _require_loop_free, \
-    _weights, transfer_step
+    _weights, transfer_start, transfer_step
 from .formula import _step_cache, walk_start, walk_step
 from .homalg import _PositionCount, _require_finite
 from .laurent import LaurentPoly, _check_limit, _pack
@@ -45,10 +51,11 @@ class Swept:
     (`holds`), and the terms from which each side is formed: the transfer
     product T, with X_M = T x^-<S_.,M>, the numerator N_c, with
     L_c = N_c x^-dim M, the shift x^(A dim M), with T x^S == N_c where
-    the identity holds, and the string's `homalg._StringCounts`.  The
-    shift is kept as its key and bound, and built when it is read."""
+    the identity holds, and the string's `homalg._StringCounts`.  T and
+    N_c are kept as the `laurent._Shifted` the recurrences leave, and the
+    shift as its key and bound; each is built when it is read."""
 
-    __slots__ = ("quiver", "string", "counts", "transfer", "numerator",
+    __slots__ = ("quiver", "string", "counts", "_transfer", "_numerator",
                  "shift_key", "shift_bound", "holds")
 
     def __init__(self, quiver, string, counts, transfer, numerator,
@@ -56,11 +63,19 @@ class Swept:
         self.quiver = quiver
         self.string = string
         self.counts = counts
-        self.transfer = transfer
-        self.numerator = numerator
+        self._transfer = transfer
+        self._numerator = numerator
         self.shift_key = shift_key
         self.shift_bound = shift_bound
         self.holds = holds
+
+    @property
+    def transfer(self):
+        return self._transfer.poly()
+
+    @property
+    def numerator(self):
+        return self._numerator.poly()
 
     @property
     def shift(self):
@@ -68,12 +83,12 @@ class Swept:
 
     @property
     def character(self):
-        return _character(self.quiver, self.counts, self.transfer)
+        return _character(self.quiver, self.counts, self._transfer)
 
     @property
     def walk_polynomial(self):
-        return self.numerator * LaurentPoly.monomial(
-            1, {v: -d for v, d in self.counts.dims.items()})
+        return (self._numerator * LaurentPoly.monomial(
+            1, {v: -d for v, d in self.counts.dims.items()})).poly()
 
 
 def _arrow_columns(q):
@@ -108,8 +123,7 @@ def sweep(q, max_length):
     # (out, inn, total) and the shift's key and bound
     def root(c):
         v = c.source
-        w = weight[v]
-        return (walk_start(q, v), (1, w, 1 + w)) + column[v]
+        return (walk_start(q, v), transfer_start(weight[v])) + column[v]
 
     def extend(state, c):
         walk, transfer, key, bound = state
@@ -127,5 +141,5 @@ def sweep(q, max_length):
         _check_descent(q, c, counts)
         numerator = walk[2]
         transfer = transfer[2]
-        holds = numerator._equals_shifted(transfer, key, bound)
+        holds = numerator.equals_shifted(transfer, key, bound)
         yield Swept(q, c, counts, transfer, numerator, key, bound, holds)

@@ -9,7 +9,7 @@ import stringchar.sweep
 from stringchar import BoundIceQuiver, LaurentPoly, Walk, enumerate_strings
 from stringchar.character import cluster_character, transfer_step
 from stringchar.cli import main
-from stringchar.laurent import _pack
+from stringchar.laurent import _Shifted, _pack
 from stringchar.mutation import enumerate_cluster_variables, \
     seed_from_ice_quiver
 from stringchar.quiver import _vertex_ends
@@ -191,11 +191,13 @@ def test_verify_fails_a_transfer_off_by_one_term(capsys, monkeypatch,
                                                  change):
     # take one term of the transfer product away (-1), or double its
     # coefficient, which keeps the number of terms (1), after every step:
-    # every string but the trivial ones fails
+    # every string but the trivial ones fails.  The sweep's totals are
+    # `_Shifted`, so the term is read from the built total and added as one
     def broken(state, forward, weight):
         out, inn, total = transfer_step(state, forward, weight)
-        exps, coeff = next(total.monomials())
-        return out, inn, total + change * LaurentPoly.monomial(coeff, exps)
+        exps, coeff = next(total.poly().monomials())
+        term = _Shifted.one() * LaurentPoly.monomial(change * coeff, exps)
+        return out, inn, total + term
 
     monkeypatch.setattr(stringchar.sweep, "transfer_step", broken)
     code, out, _ = run(capsys, "verify", fixture("a3"), "--max-length", "3")

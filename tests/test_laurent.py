@@ -11,7 +11,7 @@ from stringchar import ExponentOverflow, LaurentPoly, Mat2, NotDivisible, \
     NotInvertible, StringCharError, Walk
 from stringchar.character import cluster_character
 from stringchar.laurent import _FIELD_BITS, _HALF, _NAMES, EXPONENT_LIMIT, \
-    _columns, _from_fields, _pack
+    _columns, _from_fields, _pack, _Shifted
 
 from conftest import kronecker_string, load, run_in_fresh_interpreter
 from oracles import monomial_content
@@ -127,11 +127,17 @@ def test_single_term_product_is_the_convolution():
             f * g
 
 
+def _shifted(f, pending):
+    """f as a `_Shifted` whose pending monomial is `pending`, so that its
+    terms are f's keys moved by the inverse of that monomial."""
+    return _Shifted.one() * (f * pending ** -1) * pending
+
+
 def test_equals_shifted_is_equality_with_the_product():
-    """f._equals_shifted(g, key, bound) == (f == g * x^key) on products,
+    """f.equals_shifted(g, key, bound) == (f == g * x^key) on products,
     on products with one term dropped, one coefficient changed or one
-    exponent moved, and on unrelated pairs; refused past the limit as
-    the product is."""
+    exponent moved, and on unrelated pairs, each side with its own
+    pending monomial; refused past the limit as the product is."""
     rng = random.Random(20261022)
     checked = {True: 0, False: 0}
     for _ in range(300):
@@ -145,17 +151,84 @@ def test_equals_shifted_is_equality_with_the_product():
             moved = LaurentPoly.monomial(coeff, {**exps, "x0":
                                                  exps.get("x0", 0) + 1})
             near += [product - term, product + term, product - term + moved]
+        pending_f, pending_g = (
+            LaurentPoly.monomial(1, {f"x{i}": rng.randrange(-2, 3)
+                                     for i in range(3)}) for _ in range(2))
+        g_shifted = _shifted(g, pending_g)
         for f in near:
             expected = f == product
-            assert f._equals_shifted(g, key, bound) == expected, (f, g, shift)
+            assert _shifted(f, pending_f).equals_shifted(
+                g_shifted, key, bound) == expected, (f, g, shift)
             checked[expected] += 1
     assert min(checked.values()) > 250
-    top = LaurentPoly.var("x", EXPONENT_LIMIT)
+    top = _Shifted.one() * LaurentPoly.var("x", EXPONENT_LIMIT)
     key, bound = _pack({"x": 1})
     with pytest.raises(ExponentOverflow):
-        top._equals_shifted(top, key, bound)
-    assert top._equals_shifted(LaurentPoly.var("x", EXPONENT_LIMIT - 1),
-                               key, bound)
+        top.equals_shifted(top, key, bound)
+    below = _Shifted.one() * LaurentPoly.var("x", EXPONENT_LIMIT - 1)
+    assert top.equals_shifted(below, key, bound)
+
+
+def _run_both(rng, names, steps, span):
+    """A random sequence of products, mostly by monomials, and sums, run on
+    pairs of a `LaurentPoly` and the `_Shifted` that starts from it; each
+    step's two results are compared term for term and in bound, and an
+    `ExponentOverflow` must come at the same step from both, with the same
+    message.  Each operand is the last result or, as often, any earlier
+    one.  Returns the step that raised, or None."""
+    pool = [(f, _Shifted.one() * f) for f in
+            (random_poly(rng, nvars=2) for _ in range(3))]
+
+    def pick():
+        return pool[-1] if rng.random() < 0.5 else rng.choice(pool)
+
+    for step in range(steps):
+        if rng.random() < 0.6:
+            exps = {v: rng.randrange(-span, span + 1) for v in names
+                    if rng.random() < 0.7}
+            m = LaurentPoly.monomial(rng.choice((1, 1, 1, -1, 2, -3)), exps)
+            # now and then a factor of any number of terms, or an int
+            m = rng.choice((m,) * 8 + (random_poly(rng, nvars=2),
+                                       rng.randrange(-2, 3)))
+            plain, shifted = pick()
+            ops = (lambda: plain * m, lambda: shifted * m)
+        else:
+            (p1, s1), (p2, s2) = pick(), pick()
+            ops = (lambda: p1 + p2, lambda: s1 + s2)
+        results = []
+        for op in ops:
+            try:
+                results.append(op())
+            except ExponentOverflow as exc:
+                results.append(str(exc))
+        plain, shifted = results
+        if isinstance(plain, str):
+            assert shifted == plain, (step, shifted)
+            return step
+        assert isinstance(shifted, _Shifted), (step, shifted)
+        built = shifted.poly()
+        assert built.terms == plain.terms, step
+        assert (built.bound, shifted.bound) == (plain.bound, plain.bound)
+        pool.append((plain, shifted))
+    return None
+
+
+def test_shifted_products_and_sums_follow_laurent_poly():
+    """The pending-monomial type gives, step for step, what `LaurentPoly`
+    gives: the same terms, the same bound, and an `ExponentOverflow` with
+    the same message at the same step.  Up to 3 names, the last interned
+    only once the sequences are under way, so some keys span a field above
+    those of the starting polynomials."""
+    rng = random.Random(20261101)
+    late = "shifted_late"
+    for trial in range(120):
+        names = ["x0", "x1"] + ([late] if trial >= 20 else [])
+        assert _run_both(rng, names, 14, 3) is None
+    # products by monomials of exponents up to half the limit run
+    # past it within a few steps, at the step LaurentPoly refuses
+    overflows = [_run_both(rng, ["x0", late], 20, EXPONENT_LIMIT // 2)
+                 for _ in range(40)]
+    assert sum(step is not None for step in overflows) >= 30
 
 
 def test_ring_axioms_randomised():

@@ -68,7 +68,7 @@ def test_the_walk_product_is_the_transfer_product_termwise():
                 transfer = transfer_step(transfer, step.forward,
                                          weight[c.vertices[i]])
             shift = LaurentPoly.monomial(1, _string_pass(q, c).arrow_sums(q))
-            left, right, total = state
+            left, right, total = (x.poly() for x in state)
             out, inn, _total = transfer
             assert left == shift * inn, (name, c)
             assert right == shift * out, (name, c)
@@ -89,8 +89,8 @@ def test_the_term_by_term_check_is_the_product():
             assert s.holds == (s.transfer * s.shift == s.numerator), \
                 (name, s.string)
             if previous is not None:
-                assert s.numerator._equals_shifted(
-                    previous.transfer, previous.shift_key,
+                assert s._numerator.equals_shifted(
+                    previous._transfer, previous.shift_key,
                     previous.shift_bound) == \
                     (previous.transfer * previous.shift == s.numerator), \
                     (name, s.string)
